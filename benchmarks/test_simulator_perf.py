@@ -12,6 +12,7 @@ richer profiling entry point; this file is only the pytest-visible
 smoke check.
 """
 
+import copy
 import os
 
 from repro import FaultSpec, FaultTarget, FaultType, SystemConfig, UavSystem, valencia_missions
@@ -46,19 +47,24 @@ def test_closed_loop_step_rate(benchmark):
 
 
 def test_closed_loop_step_rate_under_fault(benchmark):
-    # Fault onset at warmup end so the benched rounds measure the active
-    # fault response (injector + gated EKF + failsafe + desaturating
-    # mixer), not cheap post-crash idle steps. A Random IMU fault drives
-    # the vehicle terminal within ~4 s of onset, so only the first few
-    # rounds are in the violent regime — the median still reflects it
-    # with rounds=3.
+    # Fault onset at warmup end, and every round steps a fresh copy of
+    # the vehicle at onset, so each round measures the first second of
+    # the active fault response (injector + gated EKF + failsafe +
+    # desaturating mixer). A Random IMU fault drives the vehicle terminal
+    # within a few seconds, so rounds that continued one vehicle would
+    # time cheap post-crash idle steps.
     fault = FaultSpec(FaultType.RANDOM, FaultTarget.IMU, start_time_s=10.0, duration_s=1e6)
-    system = _stepper(fault)
+    onset = _stepper(fault)
 
-    def step_100():
+    def step_100(system):
         for _ in range(100):
             system.step()
 
-    benchmark.pedantic(step_100, rounds=3, iterations=1)
+    benchmark.pedantic(
+        step_100, setup=lambda: ((copy.deepcopy(onset),), {}), rounds=3, iterations=1
+    )
+    probe = copy.deepcopy(onset)
+    step_100(probe)
+    assert not probe.commander.terminal, probe.commander.phase
     if benchmark.enabled:
         assert benchmark.stats.stats.median < BUDGET_S * 1.5

@@ -25,17 +25,12 @@ import numpy as np
 from repro.mathutils import (
     quat_from_axis_angle,
     quat_from_axis_angle_into,
-    quat_integrate,
     quat_integrate_into,
-    quat_multiply,
     quat_multiply_into,
-    quat_normalize,
     quat_normalize_into,
     quat_rotate,
     quat_to_euler,
-    quat_to_rotation_matrix,
     quat_to_rotation_matrix_into,
-    skew,
     wrap_angle,
 )
 from repro.sensors.imu import ImuSample
@@ -152,11 +147,6 @@ class Ekf:
         self._la2 = 0.0
         self._have_la = False
         self._accel_flatline_count = 0
-        # Array form of the flatline memory, maintained only by the naive
-        # reference implementation (repro.perf.reference) which shares
-        # this class's state via deepcopy.
-        self._last_raw_gyro: np.ndarray | None = None
-        self._last_raw_accel: np.ndarray | None = None
         # Latched filter fault: a full-IMU dropout (both triads
         # flatlined) means the inertial solution integrity is gone; like
         # PX4's EKF failure handling, the fault latches until landing.
@@ -165,7 +155,7 @@ class Ekf:
         # -- Hot-loop work buffers ------------------------------------
         # Every in-place expression below mirrors its allocating
         # original operation-for-operation (same order, same rounding);
-        # the differential and golden-trace tests pin this.
+        # the golden step traces and kernel properties pin this.
         self._omega = np.zeros(3)
         self._accel = np.zeros(3)
         self._rot = np.zeros((3, 3))
@@ -431,10 +421,8 @@ class Ekf:
         diag[_V] += 0.25
         self.monitor.reset_all_windows()
         self._have_lg = False
-        self._last_raw_gyro = None
         self._gyro_flatline_count = 0
         self._have_la = False
-        self._last_raw_accel = None
         self._accel_flatline_count = 0
         self.imu_stale_latched = False
 

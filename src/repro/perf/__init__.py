@@ -1,26 +1,24 @@
-"""Performance tooling: profiling entry point, bench emitter, and the
-bit-exactness harness (per-step trace fingerprints + the naive
-reference twin) that makes hot-loop optimisation safe.
+"""Performance tooling: the closed-loop bench (``python -m repro.perf``)
+and the per-step fingerprints that pin the step loop bit-for-bit.
 
 Everything here is harness-side tooling: it may use wall-clock time,
-but it never participates in simulation results — the differential
-tests in ``tests/test_differential_step.py`` and the golden traces in
-``tests/data/`` prove the optimised loop is bit-identical to the
-reference implementation.
+but it never participates in simulation results. Two tier-1 gates hold
+the step loop to zero drift: the golden per-step digests in
+``tests/data/golden_step_traces.json`` (gold, a violent whole-IMU
+fault, and every fault type x target combination) and the hypothesis
+properties pairing each in-place kernel with its allocating original.
 """
 
-from repro.perf.reference import reference_twin
-from repro.perf.trace import (
-    GOLDEN_TRACE_SPECS,
-    build_trace_system,
-    run_traced,
+from repro.perf.fingerprint import (
+    GOLDEN_SPECS,
+    build_pinned_system,
+    fingerprint_run,
     step_fingerprint,
 )
 
 __all__ = [
-    "GOLDEN_TRACE_SPECS",
-    "build_trace_system",
-    "reference_twin",
-    "run_traced",
+    "GOLDEN_SPECS",
+    "build_pinned_system",
+    "fingerprint_run",
     "step_fingerprint",
 ]

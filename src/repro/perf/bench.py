@@ -2,9 +2,9 @@
 
 ``python -m repro.perf`` times the full ``UavSystem.step`` (physics +
 wind + IMU bank + injector + EKF + control cascade + surveillance) in
-steady-state cruise, compares it against the allocating reference twin,
-attributes self-time to subsystems with :mod:`cProfile`, and emits
-``BENCH_simulator.json``.
+steady-state cruise and during an active IMU fault, measures the
+observability overhead, attributes self-time to subsystems with
+:mod:`cProfile`, and emits ``BENCH_simulator.json``.
 
 This is harness-side tooling: wall-clock reads are fine here (the
 simulation itself remains deterministic; reprolint DET002 only fences
@@ -13,6 +13,7 @@ the sim/sensors/estimation/control/core layers).
 
 from __future__ import annotations
 
+import copy
 import cProfile
 import json
 import pstats
@@ -24,14 +25,21 @@ from repro.core.atomicio import atomic_write_text
 from repro.core.faults import FaultSpec, FaultTarget, FaultType
 from repro.obs.observer import Observer
 from repro.obs.registry import MetricsRegistry
-from repro.perf.reference import reference_twin
-from repro.perf.trace import build_trace_system
-from repro.system import UavSystem
+from repro.perf.fingerprint import build_pinned_system
+from repro.system import SystemConfig, UavSystem
 
 #: Steps before any timed section, so every measurement sees the same
 #: steady-state cruise regime (airborne, EKF converged, mission phase).
 WARMUP_STEPS = 1000
 QUICK_WARMUP_STEPS = 300
+
+#: Under-fault rounds: each times one simulated second from a fresh
+#: copy of the vehicle at fault onset. A Random IMU fault drives the
+#: vehicle terminal within a few seconds, so rounds that continued one
+#: vehicle would time cheap post-crash idle steps instead of the
+#: injector, gated EKF updates, failsafe, and desaturating mixer.
+FAULT_ROUND_STEPS = 100
+FAULT_ROUNDS = 3
 
 #: JSON schema tag so downstream regression checks can evolve safely.
 BENCH_SCHEMA = 1
@@ -44,14 +52,30 @@ def _steps_per_sec(system: UavSystem, n_steps: int, rounds: int = 5) -> float:
     cannot drag the reported rate — the same policy the pytest bench
     asserts on.
     """
-    rates = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        for _ in range(n_steps):
-            system.step()
-        elapsed = time.perf_counter() - t0
-        rates.append(n_steps / max(elapsed, 1e-12))
-    return _median(rates)
+    return _median([n_steps / _section_time(system, n_steps) for _ in range(rounds)])
+
+
+def fault_onset_system(warmup: int) -> UavSystem:
+    """The bench vehicle under a Random IMU fault, stepped to its onset."""
+    dt = SystemConfig().physics_dt_s
+    fault = FaultSpec(
+        FaultType.RANDOM, FaultTarget.IMU, start_time_s=warmup * dt, duration_s=1e6
+    )
+    system = build_pinned_system(fault)
+    for _ in range(warmup):
+        system.step()
+    return system
+
+
+def onset_rounds(
+    onset: UavSystem, n_steps: int = FAULT_ROUND_STEPS, rounds: int = FAULT_ROUNDS
+) -> tuple[float, list[UavSystem]]:
+    """Median step rate over ``rounds`` sections that each step a fresh
+    deep copy of ``onset`` (copied outside the timed section); also
+    returns the stepped copies so callers can check what was timed."""
+    vehicles = [copy.deepcopy(onset) for _ in range(rounds)]
+    rates = [n_steps / _section_time(vehicle, n_steps) for vehicle in vehicles]
+    return _median(rates), vehicles
 
 
 def _median(rates: list[float]) -> float:
@@ -144,37 +168,25 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
     warmup = QUICK_WARMUP_STEPS if quick else WARMUP_STEPS
     section = 200 if quick else 600
     rounds = 5
-    ref_section = 100 if quick else 200
     profiled = 300 if quick else 1000
 
     # Gold-run throughput (the campaign's dominant regime).
-    system = build_trace_system()
+    system = build_pinned_system()
     for _ in range(warmup):
         system.step()
     gold_rate = _steps_per_sec(system, section, rounds)
     dt = system.config.physics_dt_s
 
-    # Throughput during an active whole-IMU fault: the fault starts at
-    # warmup end and the timed section is short enough (3 s) to stay
-    # inside the violent-response window — a Random IMU fault drives the
-    # vehicle terminal within ~4 s, and timing past that would measure
-    # cheap post-crash idle steps instead of the injector, gated EKF
-    # updates, failsafe, and desaturating mixer.
-    fault = FaultSpec(
-        FaultType.RANDOM, FaultTarget.IMU, start_time_s=warmup * dt, duration_s=1e6
-    )
-    faulted = build_trace_system(fault)
-    for _ in range(warmup):
-        faulted.step()
-    fault_rate = _steps_per_sec(faulted, 100, rounds=3)
+    # Throughput during an active whole-IMU fault (see FAULT_ROUNDS).
+    fault_rate, _ = onset_rounds(fault_onset_system(warmup))
 
     # Gold cruise with the full observability plane on (metrics +
     # trace + black-box ring): the enabled-mode overhead the obs gate
     # holds to <=3% of the disabled rate. Events are edge-triggered, so
     # in cruise the recurring cost is one black-box row per step. The
     # pair is timed in interleaved ABBA quartets (_paired_overhead).
-    obs_disabled = build_trace_system()
-    obs_enabled = build_trace_system(obs=Observer(registry=MetricsRegistry()))
+    obs_disabled = build_pinned_system()
+    obs_enabled = build_pinned_system(obs=Observer(registry=MetricsRegistry()))
     for _ in range(warmup):
         obs_disabled.step()
         obs_enabled.step()
@@ -182,14 +194,7 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
         obs_disabled, obs_enabled, 60, quartets=24 if quick else 48
     )
 
-    # Reference twin from identical steady state: the before/after pair.
-    baseline_system = build_trace_system()
-    for _ in range(warmup):
-        baseline_system.step()
-    twin = reference_twin(baseline_system)
-    ref_rate = _steps_per_sec(twin, ref_section, rounds)
-
-    profile_system = build_trace_system()
+    profile_system = build_pinned_system()
     for _ in range(warmup):
         profile_system.step()
     breakdown = _profile_breakdown(profile_system, profiled)
@@ -205,8 +210,6 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
         "steps_per_sec_obs_disabled": round(obs_disabled_rate, 1),
         "steps_per_sec_obs_enabled": round(obs_rate, 1),
         "obs_overhead_frac": round(max(0.0, obs_overhead), 4),
-        "reference_steps_per_sec": round(ref_rate, 1),
-        "speedup_vs_reference": round(gold_rate / max(ref_rate, 1e-12), 2),
         "subsystem_self_time_fractions": {
             name: round(frac, 4) for name, frac in breakdown.items()
         },
@@ -224,8 +227,6 @@ def format_report(report: dict[str, Any]) -> str:
         f"  steps/sec (IMU fault):     {report['steps_per_sec_under_fault']:>10.1f}",
         f"  steps/sec (obs enabled):   {report['steps_per_sec_obs_enabled']:>10.1f}"
         f"  ({report['obs_overhead_frac'] * 100:.1f}% overhead)",
-        f"  steps/sec (reference):     {report['reference_steps_per_sec']:>10.1f}",
-        f"  speedup vs reference:      {report['speedup_vs_reference']:>10.2f}x",
         "  self-time by subsystem:",
     ]
     for name, frac in report["subsystem_self_time_fractions"].items():

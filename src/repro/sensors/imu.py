@@ -43,22 +43,12 @@ class TriadSensorParams:
 
 
 class _TriadSensor:
-    """A 3-axis sensor with turn-on bias, white noise, and saturation."""
+    """A 3-axis sensor's parameters and (drifting) bias; :meth:`Imu.sample`
+    adds the bias, white noise, and saturation to both triads at once."""
 
     def __init__(self, params: TriadSensorParams, rng: np.random.Generator):
         self.params = params
-        self._rng = rng
         self.bias = rng.normal(0.0, params.bias_sigma, size=3)
-
-    def sample(self, true_value: np.ndarray, dt: float) -> np.ndarray:
-        """Measure ``true_value``, returning a new corrupted array."""
-        p = self.params
-        if p.bias_instability > 0.0:
-            self.bias = self.bias + self._rng.normal(
-                0.0, p.bias_instability * math.sqrt(dt), size=3
-            )
-        noisy = true_value + self.bias + self._rng.normal(0.0, p.noise_density, size=3)
-        return np.clip(noisy, -p.measurement_range, p.measurement_range)
 
 
 class Accelerometer(_TriadSensor):
@@ -124,7 +114,8 @@ class Imu:
         # One vectorized standard-normal draw per step replaces the four
         # per-triad `rng.normal` calls. The Generator emits the same
         # variate stream either way, and `sigma * z == normal(0, sigma)`
-        # bit-for-bit, so samples are unchanged (differential-tested).
+        # bit-for-bit, so samples are unchanged (pinned by the golden
+        # step traces).
         self._accel_walk = self.params.accel.bias_instability > 0.0
         self._gyro_walk = self.params.gyro.bias_instability > 0.0
         n = 6 + (3 if self._accel_walk else 0) + (3 if self._gyro_walk else 0)

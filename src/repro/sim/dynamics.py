@@ -169,15 +169,8 @@ class QuadrotorPhysics:
             self.on_ground = False
 
 
-def _clamp_vec(vec: np.ndarray, max_norm: float) -> np.ndarray:
-    norm_sq = float(vec @ vec)
-    if norm_sq > max_norm * max_norm:
-        return vec * (max_norm / np.sqrt(norm_sq))
-    return vec
-
-
 def _clamp_vec_inplace(vec: np.ndarray, max_norm: float) -> None:
-    """In-place :func:`_clamp_vec` (same dot, same scale, same rounding)."""
+    """Scale ``vec`` in place down to ``max_norm`` if it is longer."""
     norm_sq = float(vec @ vec)
     if norm_sq > max_norm * max_norm:
         np.multiply(vec, max_norm / np.sqrt(norm_sq), out=vec)

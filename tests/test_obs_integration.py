@@ -32,7 +32,7 @@ from repro.obs import (
 )
 from repro.obs.__main__ import main as obs_main
 from repro.obs.trace import TraceCollector
-from repro.perf.trace import GOLDEN_TRACE_SPECS, build_trace_system, run_traced
+from repro.perf.fingerprint import GOLDEN_SPECS, replay_golden
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_step_traces.json"
 
@@ -47,15 +47,12 @@ TINY = CampaignConfig(
 # ------------------------------------------------------- bit-exactness
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_SPECS))
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
 def test_golden_step_traces_identical_with_obs_enabled(name):
     """The strongest read-only check: per-step SHA-256 of every
     metric-bearing quantity, unchanged by a full observer."""
     expected = json.loads(GOLDEN_PATH.read_text())[name]
-    system = build_trace_system(
-        GOLDEN_TRACE_SPECS[name], obs=Observer(registry=MetricsRegistry())
-    )
-    got = run_traced(system)
+    got = replay_golden(name, obs=Observer(registry=MetricsRegistry()))
     assert got["final_digest"] == expected["final_digest"], (
         f"observer changed the {name!r} run"
     )

@@ -3,15 +3,17 @@
 The performance pass replaced allocating numpy expressions with
 preallocated-buffer variants. These hypothesis properties pin the
 *bit-level* contract between each pair — not approximate closeness —
-because the differential/golden-trace harness relies on the optimised
-step reproducing the reference step exactly:
+because the golden step traces pin the optimised step loop to the bit:
 
 * every ``quat_*_into`` variant vs its allocating counterpart
   (including the aliasing patterns the EKF and controllers use);
 * the buffered :class:`repro.control.mixer.Mixer` vs the allocating
-  ``ReferenceMixer``;
+  :func:`naive_mix`;
 * the in-place EKF scalar Kalman update vs the allocating
-  ``ReferenceEkf._scalar_update``.
+  :func:`naive_scalar_update`.
+
+The two ``naive_*`` oracles are the pre-optimisation method bodies,
+kept verbatim (``self`` renamed) as plain functions.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control.mixer import Mixer
-from repro.estimation.ekf import Ekf
+from repro.estimation.ekf import _BA, _BG, _P, _TH, _V, Ekf
 from repro.mathutils import (
     quat_conjugate,
     quat_conjugate_into,
@@ -43,7 +45,6 @@ from repro.mathutils import (
     quat_to_rotation_matrix,
     quat_to_rotation_matrix_into,
 )
-from repro.perf.reference import ReferenceEkf, ReferenceMixer
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 coords = st.floats(-100.0, 100.0, allow_nan=False)
@@ -154,6 +155,26 @@ def test_integrate_into_matches(q, omega, dt):
 # ---------------------------------------------------------------------------
 
 
+def naive_mix(mixer: Mixer, collective: float, torque_cmd: np.ndarray) -> np.ndarray:
+    """Allocating mixer (pre-optimisation body of ``Mixer.mix``)."""
+    g = mixer.gains
+    weights = np.array([g.roll_pitch, g.roll_pitch, g.yaw])
+    torque_part = mixer._SIGNS @ (np.clip(torque_cmd, -1.0, 1.0) * weights)
+
+    span = float(torque_part.max() - torque_part.min())
+    if span > 1.0:
+        torque_part = torque_part / span
+    fractions = collective + torque_part
+
+    overflow = fractions.max() - 1.0
+    if overflow > 0.0:
+        fractions -= overflow
+    underflow = -fractions.min()
+    if underflow > 0.0:
+        fractions += min(underflow, max(0.0, 1.0 - fractions.max()))
+    return np.sqrt(np.clip(fractions, 0.0, 1.0))
+
+
 @given(
     st.floats(-0.5, 2.0, allow_nan=False),
     vectors(st.floats(-3.0, 3.0, allow_nan=False)),
@@ -161,7 +182,7 @@ def test_integrate_into_matches(q, omega, dt):
 def test_mixer_matches_reference(collective, torque_cmd):
     """Buffered mix == allocating mix through every desaturation branch."""
     fast = Mixer().mix(collective, torque_cmd)
-    slow = ReferenceMixer().mix(collective, torque_cmd)
+    slow = naive_mix(Mixer(), collective, torque_cmd)
     assert _bits(fast) == _bits(slow)
 
 
@@ -170,11 +191,40 @@ def test_mixer_matches_reference(collective, torque_cmd):
 # ---------------------------------------------------------------------------
 
 
+def naive_scalar_update(ekf: Ekf, innovation, h, meas_var, gate, name) -> None:
+    """Allocating gated update (pre-optimisation ``Ekf._scalar_update``)."""
+    ph = ekf.covariance @ h
+    s = max(float(h @ ph) + meas_var, 1e-12)
+    test_ratio = (innovation * innovation) / (gate * gate * s)
+    accepted = test_ratio <= 1.0
+    ekf.monitor.record(name, ekf.time_s, test_ratio, accepted)
+    if not accepted:
+        return
+    k = ph / s
+    naive_inject_error(ekf, k * innovation)
+    ekf.covariance = ekf.covariance - np.outer(k, ph)
+    ekf.covariance = 0.5 * (ekf.covariance + ekf.covariance.T)
+
+
+def naive_inject_error(ekf: Ekf, dx: np.ndarray) -> None:
+    """Allocating error injection (pre-optimisation ``Ekf._inject_error``)."""
+    p = ekf.params
+    dq = quat_from_axis_angle(dx[_TH], float(np.linalg.norm(dx[_TH])))
+    ekf.quaternion = quat_normalize(quat_multiply(ekf.quaternion, dq))
+    ekf.velocity_ned = ekf.velocity_ned + dx[_V]
+    ekf.position_ned = ekf.position_ned + dx[_P]
+    ekf.gyro_bias = np.clip(
+        ekf.gyro_bias + dx[_BG], -p.gyro_bias_limit, p.gyro_bias_limit
+    )
+    ekf.accel_bias = np.clip(
+        ekf.accel_bias + dx[_BA], -p.accel_bias_limit, p.accel_bias_limit
+    )
+
+
 def _paired_ekfs(diag, quaternion):
-    """Two EKFs in identical state; one demoted to the reference class."""
+    """Two EKFs in identical state."""
     fast = Ekf()
     slow = Ekf()
-    slow.__class__ = ReferenceEkf
     for ekf in (fast, slow):
         ekf.covariance = np.diag(diag).copy()
         ekf.quaternion = quaternion.copy()
@@ -195,7 +245,7 @@ def test_scalar_update_matches_reference(diag, quaternion, h, innovation, meas_v
     fast, slow = _paired_ekfs(np.array(diag), quaternion)
     h = np.array(h)
     fast._scalar_update(innovation, h, meas_var, gate, "prop")
-    slow._scalar_update(innovation, h, meas_var, gate, "prop")
+    naive_scalar_update(slow, innovation, h, meas_var, gate, "prop")
     assert _bits(fast.quaternion) == _bits(slow.quaternion)
     assert _bits(fast.velocity_ned) == _bits(slow.velocity_ned)
     assert _bits(fast.position_ned) == _bits(slow.position_ned)
