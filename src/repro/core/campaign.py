@@ -14,6 +14,10 @@ journalled to a crash-safe JSONL file that ``resume=True`` picks up
 after a crash or kill; a resumed campaign is bit-identical to an
 uninterrupted one with the same config and seed.
 
+Every case of a mission flies the same fault-free flight until its
+fault starts, so each process flies that prefix once and forks every
+case from a deep copy of it (:func:`run_experiment`; DESIGN.md §8).
+
 The ``scale`` knob shrinks mission geometry (and proportionally the
 injection time) so the full 850-case matrix can run in CI-sized time
 budgets; ``scale=1.0`` is the paper-scale scenario with ~491 s gold
@@ -22,6 +26,7 @@ runs and injection at 90 s.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import time
 from collections import deque
@@ -137,32 +142,83 @@ class CampaignConfig:
 
 
 def run_experiment(spec: ExperimentSpec, config: CampaignConfig) -> ExperimentResult:
-    """Execute a single experiment case and reduce it to its metrics."""
+    """Execute a single experiment case and reduce it to its metrics.
+
+    Every case of a mission flies bit-identically until its fault
+    starts, so the case is forked from the pre-injection snapshot of its
+    prefix key (flown here first if this process does not hold it): a
+    deep copy of the snapshot gets the case's fault armed and its black
+    box named, then flies on to the verdict. The row equals that of a
+    fresh ``UavSystem(plan, fault=spec.fault).run()``
+    (``tests/test_campaign_fork.py``).
+    """
+    system = copy.deepcopy(_prefix_snapshot(spec, config))
+    system.arm_fault(spec.fault)
+    if config.obs_dir is not None:
+        system.obs.blackbox_name = f"blackbox_exp{spec.experiment_id:04d}.json"
+    mission_result = system.finish_run()
+    return _to_result(spec, mission_result, mitigated=config.mitigation)
+
+
+#: ``(config, mission_id, fault start time)``: what decides a case's
+#: flight before its fault starts.
+PrefixKey = tuple[CampaignConfig, int, float]
+
+#: The one pre-injection snapshot this process holds, with its prefix
+#: key. Module-level because the per-case runner is a plain picklable
+#: ``(spec, config)`` callable that pool workers import by name, so
+#: there is no per-process object to own it. It is published only once
+#: fully flown and is never stepped (only deep-copied), so a case
+#: abandoned by its timeout mid-prefix cannot leave a half-flown vehicle
+#: here. One slot suffices because :func:`run_campaign` runs the cases
+#: grouped by prefix key; it empties the slot when it finishes.
+_snapshot: tuple[PrefixKey, UavSystem] | None = None
+
+
+def prefix_key(spec: ExperimentSpec, config: CampaignConfig) -> PrefixKey:
+    """The prefix key of ``spec``'s case.
+
+    Gold cases share the snapshot of their mission's faulty cases: they
+    are forked at the campaign's injection time too.
+    """
+    start_s = (
+        spec.fault.start_time_s
+        if spec.fault is not None
+        else config.effective_injection_time_s
+    )
+    return (config, spec.mission_id, start_s)
+
+
+def _prefix_snapshot(spec: ExperimentSpec, config: CampaignConfig) -> UavSystem:
+    """The fault-free vehicle flown up to ``spec``'s fault start
+    (:meth:`UavSystem.fly_until`), from the slot or flown now."""
+    global _snapshot
+    key = prefix_key(spec, config)
+    held = _snapshot
+    if held is not None and held[0] == key:
+        return held[1]
+    _snapshot = None  # free the old vehicle before flying the new one
     plans = {p.mission_id: p for p in valencia_missions(scale=config.scale)}
-    plan = plans[spec.mission_id]
     obs: Observer | None = None
     if config.obs_dir is not None:
         # A private registry per case: cases may run in worker
         # processes, so per-case metrics cannot meaningfully aggregate
         # into the parent's registry anyway.
-        obs = Observer(
-            registry=MetricsRegistry(),
-            blackbox_dir=config.obs_dir,
-            blackbox_name=f"blackbox_exp{spec.experiment_id:04d}.json",
-        )
+        obs = Observer(registry=MetricsRegistry(), blackbox_dir=config.obs_dir)
     system = UavSystem(
-        plan,
+        plans[spec.mission_id],
         config=SystemConfig(
             seed=config.base_seed,
             redundancy=RedundancyConfig(
                 enabled=config.mitigation, num_members=config.imu_redundancy
             ),
         ),
-        fault=spec.fault,
         obs=obs,
     )
-    mission_result = system.run()
-    return _to_result(spec, mission_result, mitigated=config.mitigation)
+    system.start_run()
+    system.fly_until(key[2])
+    _snapshot = (key, system)
+    return system
 
 
 def _to_result(
@@ -351,8 +407,13 @@ def run_campaign(
                 total_cases=len(specs),
             )
 
+    # Grouped by prefix key so each process flies a mission's shared
+    # pre-injection flight once (see run_experiment); results are
+    # reassembled in spec order below.
     pending = deque(
-        _PendingCase(spec) for spec in specs if spec.experiment_id not in done
+        _PendingCase(spec)
+        for spec in sorted(specs, key=lambda s: _run_order(s, config))
+        if spec.experiment_id not in done
     )
     # Campaign-relative wall clock for harness spans (the vehicle's own
     # spans use simulated time; the harness genuinely runs in wall time).
@@ -391,6 +452,9 @@ def run_campaign(
             obs.trace.end_all(clock())
         if journal is not None:
             journal.close()
+        # Each campaign flies its own prefixes: no vehicle outlives it.
+        global _snapshot
+        _snapshot = None
 
     merged = {**done, **recorder.by_id}
     return CampaignResult(
@@ -399,6 +463,12 @@ def run_campaign(
         scale=config.scale,
         injection_time_s=config.effective_injection_time_s,
     )
+
+
+def _run_order(spec: ExperimentSpec, config: CampaignConfig) -> tuple[int, float, int]:
+    """Sort key grouping the cases of one prefix key, in id order."""
+    _, mission_id, start_s = prefix_key(spec, config)
+    return (mission_id, start_s, spec.experiment_id)
 
 
 def _execute_serial(

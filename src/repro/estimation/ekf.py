@@ -170,9 +170,6 @@ class Ekf:
         self._t33b = np.zeros((3, 3))
         self._cov_tmp = np.zeros((15, 15))
         self._sym = np.zeros((15, 15))
-        # The diagonal view stays valid because the covariance array is
-        # only ever written in place after construction.
-        self._diag = self.covariance.ravel()[::16]
         self._ph = np.zeros(15)
         self._k = np.zeros(15)
         self._dx = np.zeros(15)
@@ -290,7 +287,9 @@ class Ekf:
 
         np.matmul(phi, self.covariance, out=self._cov_tmp)
         np.matmul(self._cov_tmp, phi.T, out=self.covariance)
-        diag = self._diag
+        # Sliced per call, not stored: a stored view would detach from
+        # the covariance in a deepcopy of the filter.
+        diag = self.covariance.ravel()[::16]
         diag[_TH] += (gyro_noise**2) * dt
         diag[_V] += (p.accel_noise**2) * dt
         diag[_BG] += (p.gyro_bias_walk**2) * dt

@@ -77,6 +77,8 @@ class Observer:
         self._fault_active = False
         self._inner = 0
         self._outer = 0
+        # The open run span's begin event, relabelled by on_fault_armed.
+        self._run_span: TraceEvent | None = None
 
     # -- wiring --------------------------------------------------------
 
@@ -109,6 +111,16 @@ class Observer:
             mission_id=system.plan.mission_id,
             fault=system.fault.label if system.fault else "Gold Run",
         )
+        self._run_span = self.trace.events[-1]
+
+    def on_fault_armed(self, system: "UavSystem") -> None:
+        """Relabel the open run span after the vehicle's fault was
+        swapped mid-flight (a campaign case forked from a shared
+        pre-injection snapshot)."""
+        if self._run_span is not None:
+            self._run_span.attrs["fault"] = (
+                system.fault.label if system.fault else "Gold Run"
+            )
 
     def on_step(self, system: "UavSystem") -> None:
         """Per-tick hook: black-box row plus edge-triggered events.
@@ -208,6 +220,9 @@ class _NullObserver(Observer):
         pass
 
     def on_run_start(self, system: "UavSystem") -> None:
+        pass
+
+    def on_fault_armed(self, system: "UavSystem") -> None:
         pass
 
     def on_step(self, system: "UavSystem") -> None:

@@ -66,7 +66,12 @@ class ImuBank:
             Imu(params, seed=base_seed + k * MEMBER_SEED_STRIDE)
             for k in range(num_members)
         ]
-        self.injectors: list[SensorFaultInjector] = [
+        self.injectors: list[SensorFaultInjector] = []
+        self.arm(fault)
+
+    def arm(self, fault: FaultSpec | None) -> None:
+        """Put a fresh injector for ``fault`` in front of every member."""
+        self.injectors = [
             SensorFaultInjector(
                 fault, imu.accel_range, imu.gyro_range, member_index=k
             )

@@ -86,10 +86,6 @@ class QuadrotorAirframe:
         arm = self.params.arm_length_m
         self._positions = np.array([(x * arm, y * arm) for x, y, _ in self._LAYOUT])
         self._spins = np.array([s for _, _, s in self._LAYOUT])
-        # Column views reused every tick (same strides as slicing fresh,
-        # so the BLAS dot products round identically).
-        self._lever_x = self._positions[:, 0]
-        self._lever_y = self._positions[:, 1]
         # Hot-loop work buffers. `forces_and_torques` returns `_force`
         # and `_torque` without copying; they are valid until the next
         # call (the physics step consumes them immediately).
@@ -137,9 +133,13 @@ class QuadrotorAirframe:
         np.multiply(env.gravity_ned, p.mass_kg, out=self._mg)
         np.add(force, self._mg, out=force)
 
-        # Torque from thrust lever arms: r x F with F = (0, 0, -T).
-        tau_x = float(-np.dot(self._lever_y, thrusts_n))
-        tau_y = float(np.dot(self._lever_x, thrusts_n))
+        # Torque from thrust lever arms: r x F with F = (0, 0, -T). The
+        # lever columns are sliced here, not stored: a stored view comes
+        # back from deepcopy as a contiguous copy, whose BLAS dot product
+        # rounds differently.
+        positions = self._positions
+        tau_x = float(-np.dot(positions[:, 1], thrusts_n))
+        tau_y = float(np.dot(positions[:, 0], thrusts_n))
         tau_z = float(np.dot(self._spins, thrusts_n)) * p.motor.torque_ratio_m
 
         w = angular_rate_body

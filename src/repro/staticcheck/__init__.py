@@ -3,7 +3,8 @@
 A custom AST analyzer that knows this simulator's invariants —
 determinism (DET001–004), numeric robustness (NUM001–003), fault-model
 exhaustiveness and persistence (FM001–002), the atomic-write
-contract (IO001), and the observability read-only contract (OBS001). Run it with::
+contract (IO001), the observability read-only contract (OBS001), and
+deep-copy fidelity of the vehicle layers (COPY001). Run it with::
 
     python -m repro.staticcheck src/repro [--format json]
 
@@ -24,6 +25,7 @@ from repro.staticcheck.engine import (
 )
 from repro.staticcheck.report import render_json, render_text
 from repro.staticcheck.rules_contracts import RawWriteRule
+from repro.staticcheck.rules_copy import StoredViewRule
 from repro.staticcheck.rules_determinism import (
     GeneratorInjectionRule,
     GlobalRandomRule,
@@ -51,6 +53,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     SpecRoundTripRule,
     RawWriteRule,
     ObsReadOnlyRule,
+    StoredViewRule,
 )
 
 

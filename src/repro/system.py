@@ -353,13 +353,65 @@ class UavSystem:
 
     def run(self, max_time_s: float | None = None) -> MissionResult:
         """Fly the mission to a terminal verdict and compute the metrics."""
+        self.start_run()
+        return self.finish_run(max_time_s)
+
+    def start_run(self) -> None:
+        """Open the run: the observer's run span, then arm and take off."""
         self.obs.on_run_start(self)
         self.commander.arm_and_takeoff(self.physics.time_s)
+
+    def fly_until(self, time_s: float) -> None:
+        """Fly every step that ends before ``time_s``.
+
+        A step reads the fault window at its start time (injector,
+        recorder) and at its end time (the observer's ``on_step``), so a
+        vehicle flown this far has not yet seen a fault starting at
+        ``time_s`` anywhere. Stops early on the same conditions as
+        :meth:`finish_run` (a terminal verdict or the hard cap), so
+        ``fly_until`` then ``finish_run`` flies exactly the steps of one
+        ``finish_run``.
+        """
+        hard_cap = self._hard_cap(None)
+        dt = self.config.physics_dt_s
+        physics = self.physics
+        while (
+            not self.commander.terminal
+            and physics.time_s < hard_cap
+            and physics.time_s + dt < time_s
+        ):
+            self.step()
+
+    def arm_fault(self, fault: FaultSpec | None) -> None:
+        """Swap the vehicle's fault for ``fault`` before it starts.
+
+        Every bank member's injector is rebuilt from the spec, exactly
+        as the constructor builds it, and the observer relabels its run.
+        Valid only before the new fault's window opens (see
+        :meth:`fly_until`): a fresh injector has drawn nothing from its
+        behaviour seeds, which holds for the vehicle that carried
+        ``fault`` from the start only until then.
+        """
+        if fault is not None and self.physics.time_s > fault.start_time_s:
+            raise ValueError(
+                f"cannot arm a fault starting at {fault.start_time_s} s on a "
+                f"vehicle already at {self.physics.time_s} s"
+            )
+        self.fault = fault
+        self.imu_bank.arm(fault)
+        self.injector = self.imu_bank.injectors[0]
+        self.obs.on_fault_armed(self)
+
+    def _hard_cap(self, max_time_s: float | None) -> float:
         params = self.config.flight_params
-        hard_cap = max_time_s or max(
+        return max_time_s or max(
             params.mission_timeout_min_s + 60.0,
             self.plan.estimated_duration_s() * (params.mission_timeout_factor + 0.5),
         )
+
+    def finish_run(self, max_time_s: float | None = None) -> MissionResult:
+        """Fly on to a terminal verdict (or the hard cap); the metrics."""
+        hard_cap = self._hard_cap(max_time_s)
         while not self.commander.terminal and self.physics.time_s < hard_cap:
             self.step()
         if not self.commander.terminal:

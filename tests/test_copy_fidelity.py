@@ -1,0 +1,98 @@
+"""A deep copy of a flying vehicle flies on bit-identically.
+
+Campaign cases fork from a ``copy.deepcopy`` of a shared pre-injection
+snapshot, so the copy must keep every array aliasing of the original
+(``deepcopy`` turns a stored numpy view into a detached contiguous
+array; reprolint COPY001 keeps such views out of the vehicle layers)
+and must step to the same bits.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+from typing import Any, Iterator
+
+import numpy as np
+import pytest
+
+from repro.missions import valencia_missions
+from repro.obs import MetricsRegistry, Observer
+from repro.perf.fingerprint import step_fingerprint
+from repro.redundancy import RedundancyConfig
+from repro.system import SystemConfig, UavSystem
+
+_SCALARS = (str, bytes, int, float, bool, type(None))
+
+
+def arrays(root: Any) -> Iterator[tuple[str, np.ndarray]]:
+    """Every ndarray reachable from ``root``, with its attribute path.
+
+    An array reached by two paths is listed under both; containers are
+    walked once each.
+    """
+    seen: set[int] = set()
+    stack: list[tuple[str, Any]] = [("system", root)]
+    while stack:
+        path, obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            yield path, obj
+            continue
+        if isinstance(obj, _SCALARS) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend((f"{path}[{k!r}]", v) for k, v in obj.items())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend((f"{path}[{i}]", v) for i, v in enumerate(obj))
+        else:
+            fields = dict(getattr(obj, "__dict__", {}))
+            for cls in type(obj).__mro__:
+                for name in getattr(cls, "__slots__", ()):
+                    if hasattr(obj, name):
+                        fields[name] = getattr(obj, name)
+            stack.extend((f"{path}.{k}", v) for k, v in fields.items())
+
+
+def shared_pairs(root: Any) -> set[tuple[str, str]]:
+    """Path pairs whose arrays share memory."""
+    found = sorted(arrays(root), key=lambda item: item[0])
+    return {
+        (path_a, path_b)
+        for i, (path_a, a) in enumerate(found)
+        for path_b, b in found[i + 1 :]
+        if np.shares_memory(a, b)
+    }
+
+
+def flying_vehicle(configuration: str) -> UavSystem:
+    plan = valencia_missions(scale=0.1)[3]
+    config = SystemConfig()
+    obs = None
+    if configuration == "imu-bank":
+        config = SystemConfig(redundancy=RedundancyConfig(enabled=True, num_members=3))
+    elif configuration == "observer":
+        obs = Observer(registry=MetricsRegistry())
+    system = UavSystem(plan, config=config, obs=obs)
+    system.start_run()
+    for _ in range(1000):  # 10 s: climbed out and cruising
+        system.step()
+    return system
+
+
+def digest(system: UavSystem, n_steps: int) -> str:
+    hasher = hashlib.sha256()
+    for _ in range(n_steps):
+        system.step()
+        hasher.update(step_fingerprint(system))
+    return hasher.hexdigest()
+
+
+@pytest.mark.parametrize("configuration", ["single-imu", "imu-bank", "observer"])
+def test_deep_copy_keeps_aliasing_and_flies_on_identically(configuration):
+    original = flying_vehicle(configuration)
+    clone = copy.deepcopy(original)
+    assert shared_pairs(clone) >= shared_pairs(original)
+    assert digest(clone, 300) == digest(original, 300)
+    assert np.array_equal(clone.ekf.covariance, original.ekf.covariance)
+    assert clone.recorder.estimated_distance_m == original.recorder.estimated_distance_m

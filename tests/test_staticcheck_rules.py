@@ -17,6 +17,7 @@ import pytest
 from repro.staticcheck import ALL_RULES, all_rules
 from repro.staticcheck.engine import ReprolintError, RunReport, run_reprolint
 from repro.staticcheck.rules_contracts import RawWriteRule
+from repro.staticcheck.rules_copy import StoredViewRule
 from repro.staticcheck.rules_determinism import (
     GeneratorInjectionRule,
     GlobalRandomRule,
@@ -667,6 +668,90 @@ def test_obs001_silent_on_self_state_and_outside_obs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# COPY001 — no stored numpy views without a copy hook
+
+
+def test_copy001_fires_on_stored_views_of_self_arrays(tmp_path):
+    report = lint(
+        tmp_path,
+        {
+            "sim/frame.py": """\
+                import numpy as np
+
+                class Frame:
+                    def __init__(self):
+                        self._positions = np.zeros((4, 2))
+                        self._lever_x = self._positions[:, 0]
+                        self.covariance = np.eye(15)
+                        self._diag = self.covariance.ravel()[::16]
+                        self._cov_t = self.covariance.T
+                        self._flat: np.ndarray = self.covariance.reshape(-1)
+            """,
+            # The flight stack, U-space, telemetry and mission objects
+            # are deep-copied with the vehicle too.
+            "telemetry/log.py": """\
+                import numpy as np
+
+                class Log:
+                    def __init__(self):
+                        self._rows = np.zeros((100, 3))
+                        self._latest = self._rows[-1, :]
+            """,
+        },
+        StoredViewRule,
+    )
+    assert rule_ids(report) == ["COPY001"] * 5
+
+
+def test_copy001_silent_on_hooked_classes_copies_and_locals(tmp_path):
+    report = lint(
+        tmp_path,
+        {
+            # A class that re-derives its views on copy may store them.
+            "estimation/filter.py": """\
+                import copy
+                import numpy as np
+
+                class Filter:
+                    def __init__(self):
+                        self.covariance = np.eye(15)
+                        self._diag = self.covariance.ravel()[::16]
+
+                    def __deepcopy__(self, memo):
+                        new = copy.copy(self)
+                        new.covariance = self.covariance.copy()
+                        new._diag = new.covariance.ravel()[::16]
+                        return new
+            """,
+            # Copies, scalar reads and views sliced at the point of use
+            # are all fine.
+            "sim/frame.py": """\
+                import numpy as np
+
+                class Frame:
+                    def __init__(self):
+                        self._positions = np.zeros((4, 2))
+                        self._first = self._positions[0, 0]
+                        self._lever_x = self._positions[:, 0].copy()
+
+                    def torque(self, thrusts):
+                        lever = self._positions[:, 1]
+                        return float(lever @ thrusts)
+            """,
+            # The rule is scoped to the vehicle layers.
+            "core/table.py": """\
+                class Table:
+                    def __init__(self, rows):
+                        self.rows = rows
+                        self.head = self.rows[:3]
+            """,
+        },
+        StoredViewRule,
+    )
+    assert report.clean
+
+
+# ---------------------------------------------------------------------------
 # Framework behaviour
 
 
@@ -698,7 +783,7 @@ def test_suppression_does_not_silence_other_rules(tmp_path):
     assert rule_ids(report) == ["NUM002"]
 
 
-def test_registry_covers_all_eleven_rule_ids():
+def test_registry_covers_every_rule_id():
     ids = [cls.rule_id for cls in ALL_RULES]
     assert ids == [
         "DET001",
@@ -712,6 +797,7 @@ def test_registry_covers_all_eleven_rule_ids():
         "FM002",
         "IO001",
         "OBS001",
+        "COPY001",
     ]
     for rule in all_rules():
         assert rule.summary and rule.fixit
