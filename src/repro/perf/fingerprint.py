@@ -21,21 +21,24 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.faults import FaultSpec, FaultTarget, FaultType
+from repro.core.faults import FaultScope, FaultSpec, FaultTarget, FaultType
 from repro.missions import valencia_missions
+from repro.redundancy import RedundancyConfig
 from repro.system import SystemConfig, UavSystem
 
 
 @dataclass(frozen=True)
 class GoldenRun:
-    """One pinned run: the fault, the vehicle seed, the run length, and
-    how often the running digest is checkpointed (so a mismatch
-    localises to one window instead of "somewhere in the run")."""
+    """One pinned run: the fault, the vehicle seed, the run length, how
+    often the running digest is checkpointed (so a mismatch localises
+    to one window instead of "somewhere in the run"), and the vehicle's
+    IMU redundancy (the paper's single IMU unless enabled)."""
 
     fault: FaultSpec | None
     seed: int = 0
     n_steps: int = 1200
     every: int = 100
+    redundancy: RedundancyConfig = RedundancyConfig()
 
 
 #: Every pinned run. ``gold`` and ``imu_random`` are 12 simulated
@@ -44,6 +47,11 @@ class GoldenRun:
 #: mixer, then recovery). The ``<type>-<target>`` runs cover every fault
 #: type x target combination with 1.2 s runs — spin-up, the 0.4-0.9 s
 #: fault window, and post-fault recovery — checkpointed every 10 steps.
+#: The two ``bank3-*`` runs fly the 3-IMU bank and voter for 12 s: a
+#: primary-only gyro fault the manager switches away from, and a
+#: whole-bank IMU fault that leaves no healthy member, so the vehicle
+#: flies the DEGRADED fallback (bank median plus gravity-tilt aiding on
+#: every tick) until the window ends.
 GOLDEN_SPECS: dict[str, GoldenRun] = {
     "gold": GoldenRun(None),
     "imu_random": GoldenRun(
@@ -59,19 +67,39 @@ GOLDEN_SPECS: dict[str, GoldenRun] = {
         for fault_type in FaultType
         for target in FaultTarget
     },
+    "bank3-fixed-gyro-primary_only": GoldenRun(
+        FaultSpec(
+            FaultType.FIXED,
+            FaultTarget.GYRO,
+            start_time_s=4.0,
+            duration_s=3.0,
+            seed=7,
+            scope=FaultScope.PRIMARY_ONLY,
+        ),
+        redundancy=RedundancyConfig(enabled=True, num_members=3),
+    ),
+    "bank3-random-imu-all": GoldenRun(
+        FaultSpec(FaultType.RANDOM, FaultTarget.IMU, start_time_s=4.0, duration_s=3.0, seed=7),
+        redundancy=RedundancyConfig(enabled=True, num_members=3),
+    ),
 }
 
 
 def build_pinned_system(
-    fault: FaultSpec | None = None, seed: int = 0, obs: Any = None
+    fault: FaultSpec | None = None,
+    seed: int = 0,
+    obs: Any = None,
+    redundancy: RedundancyConfig | None = None,
 ) -> UavSystem:
     """A deterministic armed vehicle, shared by the golden runs and the bench.
 
     ``obs`` (an :class:`repro.obs.Observer`) instruments the vehicle;
     the fingerprints it produces must be bit-identical either way.
+    ``redundancy`` defaults to the paper's single-IMU vehicle.
     """
     plan = valencia_missions(scale=0.1)[3]
-    system = UavSystem(plan, config=SystemConfig(seed=seed), fault=fault, obs=obs)
+    config = SystemConfig(seed=seed, redundancy=redundancy or RedundancyConfig())
+    system = UavSystem(plan, config=config, fault=fault, obs=obs)
     system.commander.arm_and_takeoff(system.physics.time_s)
     return system
 
@@ -136,7 +164,9 @@ def fingerprint_run(system: UavSystem, n_steps: int, every: int) -> dict[str, An
 def replay_golden(name: str, obs: Any = None) -> dict[str, Any]:
     """Re-fly the pinned run ``name`` and return its digests."""
     run = GOLDEN_SPECS[name]
-    system = build_pinned_system(run.fault, seed=run.seed, obs=obs)
+    system = build_pinned_system(
+        run.fault, seed=run.seed, obs=obs, redundancy=run.redundancy
+    )
     return fingerprint_run(system, run.n_steps, run.every)
 
 
