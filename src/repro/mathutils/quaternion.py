@@ -246,8 +246,11 @@ def quat_slerp(q1: np.ndarray, q2: np.ndarray, t: float) -> np.ndarray:
 #
 # Each mirrors the allocating function above operation-for-operation so the
 # results are bit-identical (dot products stay as array dots — scalarising
-# them would change rounding under BLAS FMA). ``out`` may alias the inputs
-# unless noted: every scalar is read before anything is written.
+# them would change rounding under BLAS FMA). Scalars are unpacked with
+# ``.tolist()``: Python floats round exactly as numpy float64 scalars do,
+# at a fraction of the dispatch cost, and every division is guarded by an
+# ``_EPS`` floor. ``out`` may alias the inputs unless noted: every scalar
+# is read before anything is written.
 # ---------------------------------------------------------------------------
 
 
@@ -266,8 +269,8 @@ def quat_normalize_into(q: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def quat_multiply_into(q1: np.ndarray, q2: np.ndarray, out: np.ndarray) -> np.ndarray:
     """In-place :func:`quat_multiply`; ``out`` may alias either input."""
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
+    w1, x1, y1, z1 = q1.tolist()
+    w2, x2, y2, z2 = q2.tolist()
     w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
     x = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
     y = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
@@ -281,17 +284,18 @@ def quat_multiply_into(q1: np.ndarray, q2: np.ndarray, out: np.ndarray) -> np.nd
 
 def quat_conjugate_into(q: np.ndarray, out: np.ndarray) -> np.ndarray:
     """In-place :func:`quat_conjugate`; ``out`` may alias ``q``."""
-    out[0] = q[0]
-    out[1] = -q[1]
-    out[2] = -q[2]
-    out[3] = -q[3]
+    w, x, y, z = q.tolist()
+    out[0] = w
+    out[1] = -x
+    out[2] = -y
+    out[3] = -z
     return out
 
 
 def quat_rotate_into(q: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """In-place :func:`quat_rotate`; ``out`` may alias ``v``."""
-    w, x, y, z = q
-    vx, vy, vz = v
+    w, x, y, z = q.tolist()
+    vx, vy, vz = v.tolist()
     tx = 2.0 * (y * vz - z * vy)
     ty = 2.0 * (z * vx - x * vz)
     tz = 2.0 * (x * vy - y * vx)
@@ -314,10 +318,11 @@ def quat_from_axis_angle_into(
         return out
     half = 0.5 * angle
     s = math.sin(half) / norm
+    ax, ay, az = axis.tolist()
     out[0] = math.cos(half)
-    out[1] = axis[0] * s
-    out[2] = axis[1] * s
-    out[3] = axis[2] * s
+    out[1] = ax * s
+    out[2] = ay * s
+    out[3] = az * s
     return out
 
 
@@ -327,10 +332,11 @@ def quat_to_rotation_matrix_into(q: np.ndarray, out: np.ndarray) -> np.ndarray:
     if norm < _EPS:
         w, x, y, z = 1.0, 0.0, 0.0, 0.0
     else:
-        w = q[0] / norm
-        x = q[1] / norm
-        y = q[2] / norm
-        z = q[3] / norm
+        qw, qx, qy, qz = q.tolist()
+        w = qw / norm
+        x = qx / norm
+        y = qy / norm
+        z = qz / norm
     out[0, 0] = 1 - 2 * (y * y + z * z)
     out[0, 1] = 2 * (x * y - w * z)
     out[0, 2] = 2 * (x * z + w * y)
@@ -345,31 +351,32 @@ def quat_to_rotation_matrix_into(q: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def quat_from_rotation_matrix_into(rot: np.ndarray, out: np.ndarray) -> np.ndarray:
     """In-place :func:`quat_from_rotation_matrix`."""
-    trace = rot[0, 0] + rot[1, 1] + rot[2, 2]
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
+    trace = r00 + r11 + r22
     if trace > 0.0:
         s = max(math.sqrt(trace + 1.0) * 2.0, _EPS)
         out[0] = 0.25 * s
-        out[1] = (rot[2, 1] - rot[1, 2]) / s
-        out[2] = (rot[0, 2] - rot[2, 0]) / s
-        out[3] = (rot[1, 0] - rot[0, 1]) / s
+        out[1] = (r21 - r12) / s
+        out[2] = (r02 - r20) / s
+        out[3] = (r10 - r01) / s
         return quat_normalize_into(out, out)
-    if rot[0, 0] > rot[1, 1] and rot[0, 0] > rot[2, 2]:
-        s = max(math.sqrt(1.0 + rot[0, 0] - rot[1, 1] - rot[2, 2]) * 2.0, _EPS)
-        out[0] = (rot[2, 1] - rot[1, 2]) / s
+    if r00 > r11 and r00 > r22:
+        s = max(math.sqrt(1.0 + r00 - r11 - r22) * 2.0, _EPS)
+        out[0] = (r21 - r12) / s
         out[1] = 0.25 * s
-        out[2] = (rot[0, 1] + rot[1, 0]) / s
-        out[3] = (rot[0, 2] + rot[2, 0]) / s
-    elif rot[1, 1] > rot[2, 2]:
-        s = max(math.sqrt(1.0 + rot[1, 1] - rot[0, 0] - rot[2, 2]) * 2.0, _EPS)
-        out[0] = (rot[0, 2] - rot[2, 0]) / s
-        out[1] = (rot[0, 1] + rot[1, 0]) / s
+        out[2] = (r01 + r10) / s
+        out[3] = (r02 + r20) / s
+    elif r11 > r22:
+        s = max(math.sqrt(1.0 + r11 - r00 - r22) * 2.0, _EPS)
+        out[0] = (r02 - r20) / s
+        out[1] = (r01 + r10) / s
         out[2] = 0.25 * s
-        out[3] = (rot[1, 2] + rot[2, 1]) / s
+        out[3] = (r12 + r21) / s
     else:
-        s = max(math.sqrt(1.0 + rot[2, 2] - rot[0, 0] - rot[1, 1]) * 2.0, _EPS)
-        out[0] = (rot[1, 0] - rot[0, 1]) / s
-        out[1] = (rot[0, 2] + rot[2, 0]) / s
-        out[2] = (rot[1, 2] + rot[2, 1]) / s
+        s = max(math.sqrt(1.0 + r22 - r00 - r11) * 2.0, _EPS)
+        out[0] = (r10 - r01) / s
+        out[1] = (r02 + r20) / s
+        out[2] = (r12 + r21) / s
         out[3] = 0.25 * s
     return quat_normalize_into(out, out)
 
@@ -380,11 +387,12 @@ def quat_integrate_into(
     """In-place :func:`quat_integrate`; ``out`` may alias ``q``."""
     norm = math.sqrt(float(omega_body @ omega_body))
     angle = norm * dt
+    wx, wy, wz = omega_body.tolist()
     if angle < _EPS:
         dw = 1.0
-        dx = 0.5 * omega_body[0] * dt
-        dy = 0.5 * omega_body[1] * dt
-        dz = 0.5 * omega_body[2] * dt
+        dx = 0.5 * wx * dt
+        dy = 0.5 * wy * dt
+        dz = 0.5 * wz * dt
     elif norm < _EPS or abs(angle) < _EPS:
         # quat_from_axis_angle's own degenerate guard (reachable only for
         # pathological dt); keeps parity with the allocating path.
@@ -393,10 +401,10 @@ def quat_integrate_into(
         half = 0.5 * angle
         s = math.sin(half) / norm
         dw = math.cos(half)
-        dx = omega_body[0] * s
-        dy = omega_body[1] * s
-        dz = omega_body[2] * s
-    w1, x1, y1, z1 = q
+        dx = wx * s
+        dy = wy * s
+        dz = wz * s
+    w1, x1, y1, z1 = q.tolist()
     out[0] = w1 * dw - x1 * dx - y1 * dy - z1 * dz
     out[1] = w1 * dx + x1 * dw + y1 * dz - z1 * dy
     out[2] = w1 * dy - x1 * dz + y1 * dw + z1 * dx

@@ -2,9 +2,10 @@
 
 The paper's vehicle carries a single IMU (its campaigns corrupt the
 stream *after* the driver, so redundancy could never help — see
-DESIGN.md section 10). The bank generalises that: N `Imu` instances
-with independent noise/bias seeds, each behind its own
-:class:`~repro.core.injector.SensorFaultInjector` so a
+DESIGN.md section 10). The bank generalises that: an
+:class:`~repro.sensors.imu.ImuStack` of N members with independent
+noise/bias seeds, sampled in one stacked pass, each member behind its
+own :class:`~repro.core.injector.SensorFaultInjector` so a
 :class:`~repro.core.faults.FaultScope` can corrupt any subset of
 members. A bank of one member with the default ALL scope is
 bit-identical to the pre-redundancy single-IMU pipeline.
@@ -19,7 +20,7 @@ import numpy as np
 from repro.core.faults import FaultSpec
 from repro.core.injector import SensorFaultInjector
 from repro.redundancy.voter import VoterParams
-from repro.sensors.imu import Imu, ImuParams, ImuSample
+from repro.sensors.imu import ImuParams, ImuSample, ImuStack
 
 #: Seed stride between bank members. Member 0 keeps the base seed
 #: exactly (baseline bit-identity); a large prime stride keeps the
@@ -50,7 +51,11 @@ class RedundancyConfig:
 
 
 class ImuBank:
-    """``num_members`` independently seeded IMUs, each with its own injector."""
+    """``num_members`` independently seeded IMUs, each with its own injector.
+
+    The stack ``imus`` owns every member's generator and bias; the bank
+    adds the injectors.
+    """
 
     def __init__(
         self,
@@ -62,10 +67,9 @@ class ImuBank:
         if num_members < 1:
             raise ValueError("num_members must be >= 1")
         self.num_members = num_members
-        self.members: list[Imu] = [
-            Imu(params, seed=base_seed + k * MEMBER_SEED_STRIDE)
-            for k in range(num_members)
-        ]
+        self.imus = ImuStack(
+            params, [base_seed + k * MEMBER_SEED_STRIDE for k in range(num_members)]
+        )
         self.injectors: list[SensorFaultInjector] = []
         self.arm(fault)
 
@@ -73,18 +77,18 @@ class ImuBank:
         """Put a fresh injector for ``fault`` in front of every member."""
         self.injectors = [
             SensorFaultInjector(
-                fault, imu.accel_range, imu.gyro_range, member_index=k
+                fault, self.accel_range, self.gyro_range, member_index=k
             )
-            for k, imu in enumerate(self.members)
+            for k in range(self.num_members)
         ]
 
     @property
     def accel_range(self) -> float:
-        return self.members[0].accel_range
+        return self.imus.accel_range
 
     @property
     def gyro_range(self) -> float:
-        return self.members[0].gyro_range
+        return self.imus.gyro_range
 
     def sample(
         self,
@@ -94,11 +98,10 @@ class ImuBank:
         dt: float,
     ) -> list[ImuSample]:
         """One measurement per member, each through its own injector."""
+        samples = self.imus.sample(time_s, specific_force_body, angular_rate_body, dt)
         return [
-            injector.apply(
-                imu.sample(time_s, specific_force_body, angular_rate_body, dt)
-            )
-            for imu, injector in zip(self.members, self.injectors)
+            injector.apply(sample)
+            for sample, injector in zip(samples, self.injectors)
         ]
 
     def corrupted_members(self, time_s: float) -> tuple[int, ...]:

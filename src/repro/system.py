@@ -145,7 +145,6 @@ class UavSystem:
             num_members=red.num_members if red.enabled else 1,
             base_seed=seed + 2,
         )
-        self.imu = self.imu_bank.members[0]
         self.injector = self.imu_bank.injectors[0]
         self.redundancy = RedundancyManager(
             red.voter, self.imu_bank.num_members, enabled=red.enabled
