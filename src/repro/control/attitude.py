@@ -59,19 +59,20 @@ class AttitudeController:
         quat_conjugate_into(q_estimate, self._qc)
         quat_multiply_into(self._qc, q_setpoint, q_err)
         quat_normalize_into(q_err, q_err)
-        if q_err[0] < 0.0:
-            np.negative(q_err, out=q_err)  # take the short way around
+        w, x, y, z = q_err.tolist()
+        if w < 0.0:
+            x, y, z = -x, -y, -z  # take the short way around
 
         # Small-angle: rotation vector ~ 2 * vector part.
-        rate_sp = self._rate_sp
-        np.multiply(q_err[1:4], 2.0 * p.attitude_p * confidence, out=rate_sp)
-        rate_sp[2] *= p.yaw_weight
-
+        gain = 2.0 * p.attitude_p * confidence
         max_rate = p.max_rate_rad_s * confidence
         max_yaw = p.max_yaw_rate_rad_s * confidence
-        rate_sp[0] = _clamp(rate_sp[0], max_rate)
-        rate_sp[1] = _clamp(rate_sp[1], max_rate)
-        rate_sp[2] = _clamp(rate_sp[2], max_yaw)
+        rate_sp = self._rate_sp
+        rate_sp[:] = (
+            _clamp(x * gain, max_rate),
+            _clamp(y * gain, max_rate),
+            _clamp(z * gain * p.yaw_weight, max_yaw),
+        )
         return rate_sp
 
 

@@ -45,7 +45,7 @@ from repro.mathutils.rotations import (
     angle_difference,
 )
 from repro.mathutils.geodesy import GeoPoint, GeodeticReference, EARTH_RADIUS_M
-from repro.mathutils.numerics import clamp, clamp_norm, lerp, is_finite_array
+from repro.mathutils.numerics import clamp, clamp_norm, clip_float, lerp, is_finite_array
 
 __all__ = [
     "quat_identity",
@@ -83,6 +83,7 @@ __all__ = [
     "EARTH_RADIUS_M",
     "clamp",
     "clamp_norm",
+    "clip_float",
     "lerp",
     "is_finite_array",
 ]
