@@ -21,48 +21,48 @@ from repro.mathutils import quat_from_euler, quat_identity, quat_to_euler
 
 def test_pid_proportional_only():
     pid = Pid(PidParams(kp=2.0), dim=1)
-    out = pid.update(np.array([1.5]), np.array([0.0]), 0.01)
+    out = pid.update([1.5], [0.0], 0.01)
     assert np.isclose(out[0], 3.0)
 
 
 def test_pid_integral_accumulates():
     pid = Pid(PidParams(kp=0.0, ki=1.0), dim=1)
     for _ in range(100):
-        out = pid.update(np.array([1.0]), np.array([0.0]), 0.01)
+        out = pid.update([1.0], [0.0], 0.01)
     assert np.isclose(out[0], 1.0, atol=0.02)
 
 
 def test_pid_integral_limit():
     pid = Pid(PidParams(kp=0.0, ki=1.0, integral_limit=0.2), dim=1)
     for _ in range(1000):
-        out = pid.update(np.array([1.0]), np.array([0.0]), 0.01)
+        out = pid.update([1.0], [0.0], 0.01)
     assert out[0] <= 0.2 + 1e-9
 
 
 def test_pid_output_limit():
     pid = Pid(PidParams(kp=100.0, output_limit=1.0), dim=1)
-    out = pid.update(np.array([5.0]), np.array([0.0]), 0.01)
+    out = pid.update([5.0], [0.0], 0.01)
     assert out[0] == 1.0
 
 
 def test_pid_derivative_on_measurement_no_setpoint_kick():
     pid = Pid(PidParams(kp=0.0, kd=1.0), dim=1)
-    pid.update(np.array([0.0]), np.array([0.0]), 0.01)
+    pid.update([0.0], [0.0], 0.01)
     # Setpoint step with constant measurement: derivative stays zero.
-    out = pid.update(np.array([10.0]), np.array([0.0]), 0.01)
+    out = pid.update([10.0], [0.0], 0.01)
     assert abs(out[0]) < 1e-9
 
 
 def test_pid_derivative_opposes_measurement_motion():
     pid = Pid(PidParams(kp=0.0, kd=1.0, derivative_filter_hz=1000.0), dim=1)
-    pid.update(np.array([0.0]), np.array([0.0]), 0.01)
-    out = pid.update(np.array([0.0]), np.array([1.0]), 0.01)
+    pid.update([0.0], [0.0], 0.01)
+    out = pid.update([0.0], [1.0], 0.01)
     assert out[0] < 0.0  # measurement rising -> negative derivative action
 
 
 def test_pid_reset_clears_state():
     pid = Pid(PidParams(kp=1.0, ki=1.0, kd=1.0), dim=2)
-    pid.update(np.ones(2), np.ones(2), 0.01)
+    pid.update([1.0, 1.0], [1.0, 1.0], 0.01)
     pid.reset()
     assert np.allclose(pid.integral, 0.0)
 

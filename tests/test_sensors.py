@@ -10,7 +10,7 @@ from repro.sensors import (
     Barometer,
     GpsModel,
     GpsParams,
-    Imu,
+    ImuStack,
     Magnetometer,
     TriadSensorParams,
 )
@@ -20,49 +20,49 @@ from repro.sensors import (
 
 
 def test_imu_sample_close_to_truth():
-    imu = Imu(seed=1)
+    imu = ImuStack(None, [1])
     truth_f = np.array([0.1, -0.2, -9.8])
     truth_w = np.array([0.01, 0.02, -0.01])
-    sample = imu.sample(0.0, truth_f, truth_w, dt=0.01)
+    sample = imu.sample(0.0, truth_f, truth_w, dt=0.01)[0]
     assert np.allclose(sample.accel, truth_f, atol=0.5)
     assert np.allclose(sample.gyro, truth_w, atol=0.05)
     assert sample.time_s == 0.0
 
 
 def test_imu_saturates_at_range():
-    imu = Imu(seed=1)
+    imu = ImuStack(None, [1])
     huge = np.full(3, 1e6)
-    sample = imu.sample(0.0, huge, huge, dt=0.01)
+    sample = imu.sample(0.0, huge, huge, dt=0.01)[0]
     assert np.all(sample.accel <= imu.accel_range)
     assert np.all(sample.gyro <= imu.gyro_range)
 
 
 def test_imu_ranges_match_datasheet_defaults():
-    imu = Imu()
+    imu = ImuStack(None, [0])
     assert math.isclose(imu.accel_range, 16.0 * 9.80665, rel_tol=1e-9)
     assert math.isclose(imu.gyro_range, math.radians(2000.0), rel_tol=1e-9)
 
 
 def test_imu_noise_statistics():
-    imu = Imu(seed=5)
+    imu = ImuStack(None, [5])
     truth = np.zeros(3)
     samples = np.array(
-        [imu.sample(i * 0.01, truth, truth, dt=0.01).gyro for i in range(5000)]
+        [imu.sample(i * 0.01, truth, truth, dt=0.01)[0].gyro for i in range(5000)]
     )
     # Std close to configured noise density (bias adds a small offset).
     assert abs(samples.std() - imu.params.gyro.noise_density) < 0.002
 
 
 def test_imu_deterministic_per_seed():
-    a = Imu(seed=9).sample(0.0, np.zeros(3), np.zeros(3), dt=0.01)
-    b = Imu(seed=9).sample(0.0, np.zeros(3), np.zeros(3), dt=0.01)
+    a = ImuStack(None, [9]).sample(0.0, np.zeros(3), np.zeros(3), dt=0.01)[0]
+    b = ImuStack(None, [9]).sample(0.0, np.zeros(3), np.zeros(3), dt=0.01)[0]
     assert np.allclose(a.accel, b.accel)
     assert np.allclose(a.gyro, b.gyro)
 
 
 def test_imu_sample_copy_independent():
-    imu = Imu(seed=1)
-    s = imu.sample(0.0, np.zeros(3), np.zeros(3), dt=0.01)
+    imu = ImuStack(None, [1])
+    s = imu.sample(0.0, np.zeros(3), np.zeros(3), dt=0.01)[0]
     c = s.copy()
     c.accel[0] = 99.0
     assert s.accel[0] != 99.0
