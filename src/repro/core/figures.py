@@ -105,13 +105,14 @@ def run_figure_scenario(
     system = UavSystem(plan, config=SystemConfig(seed=seed), fault=fault)
     result = system.run()
     route = np.vstack(route_polyline(plan))
+    rec = system.recorder
     return FigureResult(
         scenario=scenario,
         outcome=result.outcome,
         route_ned=route,
-        flown_true_ned=system.recorder.positions_true(),
-        flown_est_ned=system.recorder.positions_estimated(),
-        times_s=system.recorder.times(),
+        flown_true_ned=np.column_stack([rec.column(f"truth_pos_{a}") for a in "ned"]),
+        flown_est_ned=np.column_stack([rec.column(f"est_pos_{a}") for a in "ned"]),
+        times_s=rec.column("time_s"),
         injection_start_s=fault.start_time_s,
         injection_end_s=fault.end_time_s,
         flight_duration_s=result.flight_duration_s,

@@ -12,13 +12,6 @@ See DESIGN.md section 12 for the architecture and ``python -m
 repro.obs --help`` for the trace/black-box inspection CLI.
 """
 
-from repro.obs.blackbox import (
-    BLACKBOX_SCHEMA,
-    COLUMNS,
-    BlackBox,
-    blackbox_column,
-    load_blackbox,
-)
 from repro.obs.export import (
     chrome_trace_events,
     parse_prometheus,
@@ -53,13 +46,10 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "BLACKBOX_SCHEMA",
-    "COLUMNS",
     "DEFAULT_BUCKETS",
     "NULL_OBSERVER",
     "NULL_REGISTRY",
     "NULL_SINK",
-    "BlackBox",
     "Counter",
     "EventSink",
     "Family",
@@ -71,12 +61,10 @@ __all__ = [
     "SpanNode",
     "TraceCollector",
     "TraceEvent",
-    "blackbox_column",
     "build_span_tree",
     "chrome_trace_events",
     "get_default_registry",
     "iter_spans",
-    "load_blackbox",
     "parse_prometheus",
     "read_events_jsonl",
     "render_prometheus",

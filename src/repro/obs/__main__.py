@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` — inspect traces and black boxes.
+"""``python -m repro.obs`` — inspect traces and flight recordings.
 
 Three subcommands:
 
@@ -9,9 +9,14 @@ Three subcommands:
 * ``diff <a> <b>`` — compare two traces: event-count deltas per name
   and per-span duration deltas. The tool for "what changed between the
   baseline crash and the mitigated rescue".
-* ``render <blackbox>`` — draw the recorded trajectory in the paper's
-  Figure 3-5 style: a top-down north/east plot plus an altitude strip,
-  with the fault-injection window marked.
+* ``render <recording>`` — draw the recorded trajectory of a black box
+  or a flight log in the paper's Figure 3-5 style: a top-down
+  north/east plot plus an altitude strip, with the fault-injection
+  window marked.
+
+Black boxes and flight logs share one dump format
+(:meth:`repro.telemetry.recorder.FlightRecorder.dump`), read back by
+:func:`repro.telemetry.recorder.load_recording`.
 """
 
 from __future__ import annotations
@@ -25,16 +30,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.obs.blackbox import blackbox_column, load_blackbox
 from repro.obs.export import read_events_jsonl
 from repro.obs.trace import TraceEvent, build_span_tree, iter_spans, render_span_tree
+from repro.telemetry.recorder import load_recording, recording_column
 
 
 def _load_events(path: Path) -> tuple[list[TraceEvent], dict[str, Any] | None]:
-    """Events from a JSONL log or a black-box dump (plus its metadata)."""
+    """Events from a JSONL log or a recorder dump (plus its metadata)."""
     if path.suffix == ".jsonl":
         return read_events_jsonl(path), None
-    payload = load_blackbox(path)
+    payload = load_recording(path)
     events = [TraceEvent.from_dict(d) for d in payload.get("events", [])]
     return events, payload["metadata"]
 
@@ -161,21 +166,21 @@ def _render_altitude(
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    payload = load_blackbox(Path(args.file))
+    payload = load_recording(Path(args.file))
     if payload["rows"].shape[0] == 0:
-        print("(black box is empty)")
+        print("(recording is empty)")
         return 1
-    times = blackbox_column(payload, "time_s")
-    north = blackbox_column(payload, "truth_pos_n")
-    east = blackbox_column(payload, "truth_pos_e")
-    down = blackbox_column(payload, "truth_pos_d")
-    fault_active = blackbox_column(payload, "fault_active") > 0.5
+    times = recording_column(payload, "time_s")
+    north = recording_column(payload, "truth_pos_n")
+    east = recording_column(payload, "truth_pos_e")
+    down = recording_column(payload, "truth_pos_d")
+    fault_active = recording_column(payload, "fault_active") > 0.5
     metadata = payload["metadata"]
     header = ", ".join(f"{k}={metadata[k]}" for k in sorted(metadata))
     if header:
         print(header)
-    print(f"last {times[-1] - times[0]:.1f}s of flight "
-          f"({payload['rows'].shape[0]} steps recorded)")
+    print(f"{times[-1] - times[0]:.1f}s of flight "
+          f"({payload['rows'].shape[0]} rows recorded)")
     print()
     print("top-down (north up, east right; flown '*', injected '#', end 'X'):")
     print(_render_topdown(north, east, fault_active, args.width, args.height))
@@ -191,12 +196,12 @@ def cmd_render(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Inspect repro.obs traces and black boxes.",
+        description="Inspect repro.obs traces, black boxes and flight logs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sum = sub.add_parser("summarize", help="print span tree and event counts")
-    p_sum.add_argument("file", help="JSONL event log or black-box dump")
+    p_sum.add_argument("file", help="JSONL event log or recorder dump")
     p_sum.set_defaults(func=cmd_summarize)
 
     p_diff = sub.add_parser("diff", help="compare two traces")
@@ -205,9 +210,9 @@ def main(argv: list[str] | None = None) -> int:
     p_diff.set_defaults(func=cmd_diff)
 
     p_render = sub.add_parser(
-        "render", help="draw a black box as Figure 3-5 style ASCII plots"
+        "render", help="draw a recording as Figure 3-5 style ASCII plots"
     )
-    p_render.add_argument("file", help="black-box dump")
+    p_render.add_argument("file", help="black-box or flight-log dump")
     p_render.add_argument("--width", type=int, default=72)
     p_render.add_argument("--height", type=int, default=24)
     p_render.set_defaults(func=cmd_render)

@@ -10,7 +10,8 @@ enabled mode the observer:
   flight-phase spans and transition point events);
 * detects injection-window edges and bubble-violation increments each
   step and emits them as point events;
-* records every step into the :class:`~repro.obs.blackbox.BlackBox`;
+* records every step into its black box, a ring-mode
+  :class:`~repro.telemetry.recorder.FlightRecorder`;
 * mirrors every point event into the metrics registry (and, when a
   telemetry broker is attached, onto the broker's ``event/<id>``
   topic, where the existing :class:`~repro.telemetry.tracker.Tracker`
@@ -28,7 +29,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.blackbox import BlackBox
 from repro.obs.registry import (
     NULL_REGISTRY,
     MetricsRegistry,
@@ -39,6 +39,7 @@ from repro.obs.trace import NULL_SINK, TraceCollector, TraceEvent
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system import UavSystem
     from repro.telemetry.broker import Broker
+    from repro.telemetry.recorder import FlightRecorder
 
 
 class Observer:
@@ -50,13 +51,19 @@ class Observer:
         self,
         registry: MetricsRegistry | None = None,
         trace: TraceCollector | None = None,
-        blackbox: BlackBox | None = None,
+        blackbox: FlightRecorder | None = None,
         blackbox_dir: str | Path | None = None,
         blackbox_name: str | None = None,
     ) -> None:
         self.metrics = registry if registry is not None else get_default_registry()
         self.trace = trace if trace is not None else TraceCollector()
-        self.blackbox = blackbox if blackbox is not None else BlackBox()
+        if blackbox is None:
+            # Deferred: repro.telemetry.recorder imports repro.obs.
+            from repro.telemetry.recorder import FlightRecorder
+
+            # The last 8 s, one row per 100 Hz physics tick.
+            blackbox = FlightRecorder(rate_hz=1.0 / 0.01, seconds=8.0)
+        self.blackbox = blackbox
         self.blackbox_dir = Path(blackbox_dir) if blackbox_dir is not None else None
         self.blackbox_name = blackbox_name
         self.trace.on_point = self._on_point
@@ -132,7 +139,7 @@ class Observer:
         t = system.physics.time_s
         spec = system.injector.spec
         active = spec is not None and spec.is_active(t)
-        self.blackbox.record(system, active)
+        self.blackbox.record(system, t, active)
         if active != self._fault_active:
             self._fault_active = active
             if active:

@@ -28,14 +28,20 @@ _MUTATING_METHODS = frozenset(
 #: Receiver names that a method may legitimately mutate.
 _OWN_NAMES = frozenset({"self", "cls"})
 
+#: Modules outside ``obs/`` held to the same contract: the flight
+#: recorder's row writer reads the live vehicle every tick as the
+#: observer's black box.
+_OBS_MODULES = frozenset({"telemetry/recorder.py"})
+
 
 class ObsReadOnlyRule(Rule):
     """OBS001: obs code must not draw randomness or mutate observed state.
 
-    Inside ``repro/obs/`` this flags (a) any call into ``random`` or
-    ``numpy.random`` — including RNG construction, which would desync
-    the injected-generator stream counts between obs-enabled and
-    obs-disabled runs — and (b) assignments, augmented assignments,
+    Inside ``repro/obs/`` and ``telemetry/recorder.py`` (whose row
+    writer is the observer's black box) this flags (a) any call into
+    ``random`` or ``numpy.random`` — including RNG construction, which
+    would desync the injected-generator stream counts between
+    obs-enabled and obs-disabled runs — and (b) assignments, augmented assignments,
     deletes, or in-place mutating method calls targeting an attribute
     or subscript chain rooted at a function parameter other than
     ``self``/``cls`` (the observed system, broker, or event objects
@@ -52,7 +58,7 @@ class ObsReadOnlyRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if ctx.package != "obs":
+        if ctx.package != "obs" and ctx.rel_path not in _OBS_MODULES:
             return
         yield from self._check_randomness(ctx)
         yield from self._check_param_mutation(ctx)

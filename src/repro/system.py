@@ -8,7 +8,9 @@ Wires together, in the paper's architecture (Fig. 1):
 
 plus the commander/navigator/failsafe vehicle management, the bubble
 monitor fed at U-space tracking instances, the flight recorder, and an
-optional telemetry broker.
+optional telemetry broker. The flight recorder is the run's 5 Hz flight
+log; an observer's black box is the same recorder kept as a ring and
+written every tick, and both dump to one format.
 
 The loop runs at a fixed 100 Hz physics/control rate with GPS at 5 Hz,
 baro/mag at 20 Hz, and tracking at 1 Hz.
@@ -313,8 +315,9 @@ class UavSystem:
         self.physics.step(motors, dt)
 
         # 6. Surveillance and logging (reported = estimated state). The
-        # airspeed and true tilt are only computed on the ticks where the
-        # 1 Hz tracker / 5 Hz recorder actually consume them.
+        # airspeed and the fault flag are only computed on the ticks
+        # where the 1 Hz tracker / 5 Hz recorder actually consume them.
+        # A flight-log row carries the step's start time and end state.
         if self.bubble_monitor.due(t):
             airspeed = float(np.linalg.norm(ekf.velocity_ned))
             point = self.bubble_monitor.maybe_track(t, ekf.position_ned, airspeed)
@@ -330,16 +333,7 @@ class UavSystem:
                     ),
                 )
         if self.recorder.due(t):
-            self.recorder.maybe_record(
-                t,
-                truth.position_ned,
-                ekf.position_ned,
-                truth.velocity_ned,
-                ekf.velocity_ned,
-                truth.tilt_rad,
-                self.commander.phase.value,
-                self.injector.is_active(t),
-            )
+            self.recorder.maybe_record(self, t, self.injector.is_active(t))
         self.obs.on_step(self)
 
     def _estimated_tilt(self) -> float:

@@ -11,8 +11,12 @@ topology so multi-vehicle examples exercise the same data paths.
 from repro.telemetry.messages import TrackMessage, FlightEvent
 from repro.telemetry.broker import Broker, EdgeBroker, CoreBroker
 from repro.telemetry.tracker import Tracker
-from repro.telemetry.recorder import FlightRecorder, FlightSample
-from repro.telemetry.flightlog import save_flight_log, load_flight_log
+from repro.telemetry.recorder import (
+    COLUMNS,
+    FlightRecorder,
+    load_recording,
+    recording_column,
+)
 
 __all__ = [
     "TrackMessage",
@@ -21,8 +25,8 @@ __all__ = [
     "EdgeBroker",
     "CoreBroker",
     "Tracker",
+    "COLUMNS",
     "FlightRecorder",
-    "FlightSample",
-    "save_flight_log",
-    "load_flight_log",
+    "load_recording",
+    "recording_column",
 ]

@@ -96,3 +96,6 @@ def test_deep_copy_keeps_aliasing_and_flies_on_identically(configuration):
     assert digest(clone, 300) == digest(original, 300)
     assert np.array_equal(clone.ekf.covariance, original.ekf.covariance)
     assert clone.recorder.estimated_distance_m == original.recorder.estimated_distance_m
+    assert clone.recorder.rows().tobytes() == original.recorder.rows().tobytes()
+    if configuration == "observer":
+        assert clone.obs.blackbox.rows().tobytes() == original.obs.blackbox.rows().tobytes()

@@ -24,15 +24,11 @@ from repro.core.io import export_csv, load_campaign, save_campaign
 from repro.core.resilience import EtaEstimator
 from repro.core.results import CampaignResult, ExperimentResult
 from repro.flightstack.commander import MissionOutcome
-from repro.obs import (
-    MetricsRegistry,
-    Observer,
-    load_blackbox,
-    write_events_jsonl,
-)
+from repro.obs import MetricsRegistry, Observer, write_events_jsonl
 from repro.obs.__main__ import main as obs_main
 from repro.obs.trace import TraceCollector
 from repro.perf.fingerprint import GOLDEN_SPECS, replay_golden
+from repro.telemetry import load_recording
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_step_traces.json"
 
@@ -98,7 +94,7 @@ def test_every_noncompleted_case_leaves_a_readable_blackbox(observed_campaign):
             assert result.blackbox_path is None
             continue
         assert result.blackbox_path is not None
-        payload = load_blackbox(result.blackbox_path)
+        payload = load_recording(result.blackbox_path)
         assert payload["rows"].shape[0] > 0
         assert payload["metadata"]["mission_id"] == result.mission_id
         assert payload["metadata"]["fault"] == result.fault_label

@@ -637,6 +637,25 @@ def test_obs001_fires_on_parameter_mutation(tmp_path):
     assert rule_ids(report) == ["OBS001"] * 4
 
 
+def test_obs001_fires_in_the_flight_recorder_module(tmp_path):
+    """The recorder's row writer is the black box, so the rule covers
+    ``telemetry/recorder.py`` but not the rest of ``telemetry/``."""
+    mutating = """\
+        import random
+
+        def record(self, system, time_s, fault_active):
+            system.physics.time_s = time_s
+            system.recorded.append(random.random())
+    """
+    report = lint(
+        tmp_path,
+        {"telemetry/recorder.py": mutating, "telemetry/broker.py": mutating},
+        ObsReadOnlyRule,
+    )
+    assert rule_ids(report) == ["OBS001"] * 3
+    assert {v.path for v in report.violations} == {"telemetry/recorder.py"}
+
+
 def test_obs001_silent_on_self_state_and_outside_obs(tmp_path):
     report = lint(
         tmp_path,

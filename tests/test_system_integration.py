@@ -99,8 +99,8 @@ def test_recorder_captures_fault_window(plans):
     fault = FaultSpec(FaultType.NOISE, FaultTarget.ACCEL, start_time_s=20.0, duration_s=10.0)
     system = UavSystem(plans[4], fault=fault)
     system.run()
-    flags = [s.fault_active for s in system.recorder.samples]
-    assert any(flags)
+    flags = system.recorder.column("fault_active") > 0.5
+    assert flags.any()
     assert not flags[0]  # clean at takeoff
 
 
