@@ -11,9 +11,7 @@ writer (reprolint IO001) so a kill mid-export never tears an artifact:
   (endpoint-file pattern: a node-exporter textfile collector or a
   test can scrape it without this process serving HTTP).
 * **Chrome ``trace_event`` JSON** — load in ``chrome://tracing`` or
-  Perfetto; spans become duration slices, point events instants. The
-  per-subsystem cProfile breakdown from ``repro.perf`` can sit next to
-  it on the same timeline scale (both are seconds-since-start).
+  Perfetto; spans become duration slices, point events instants.
 """
 
 from __future__ import annotations

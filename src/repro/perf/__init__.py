@@ -1,5 +1,6 @@
-"""Performance tooling: the closed-loop bench (``python -m repro.perf``)
-and the per-step fingerprints that pin the step loop bit-for-bit.
+"""Performance tooling: the observability-overhead gate
+(``python -m repro.perf``) and the per-step fingerprints that pin the
+step loop bit-for-bit.
 
 Everything here is harness-side tooling: it may use wall-clock time,
 but it never participates in simulation results. Two tier-1 gates hold

@@ -8,9 +8,9 @@ those quantities matched *to the bit on every step*, which is the
 guarantee every refactor and optimisation of the step loop is held to.
 
 The golden digests in ``tests/data/golden_step_traces.json`` pin every
-run of :data:`GOLDEN_SPECS`; ``tests/test_golden_step_trace.py`` and
-``tests/test_differential_step.py`` replay them, so any numerical drift
-— not just campaign-level drift — fails tier-1.
+run of :data:`GOLDEN_SPECS`; ``tests/test_golden_step_trace.py``
+replays each run as its own test case, so any numerical drift — not
+just campaign-level drift — fails tier-1.
 """
 
 from __future__ import annotations

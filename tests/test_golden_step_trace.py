@@ -4,9 +4,11 @@
 IEEE-754 bytes of every metric-bearing quantity on *every step* of each
 run in :data:`repro.perf.fingerprint.GOLDEN_SPECS`: a 12 s gold run, a
 violent whole-IMU fault run, a 1.2 s run for every fault type x
-target combination, and two 12 s runs of the 3-IMU bank and voter. Unlike the campaign-level golden file, a single
-flipped mantissa bit on any step of any run fails here — and the
-checkpoints localise the first divergent window.
+target combination, and two 12 s runs of the 3-IMU bank and voter.
+Each run is its own test case, so a failure names the run that
+drifted. Unlike the campaign-level golden file, a single flipped
+mantissa bit on any step of any run fails here — and the checkpoints
+localise the first divergent window.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ def test_spec_table_pins_every_fault_type_and_target():
     )
 
 
-def assert_replay_matches_golden(name: str) -> None:
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_replay_matches_golden(name):
     """Re-fly the pinned run ``name`` and compare it with its golden digests."""
     want = json.loads(GOLDEN_PATH.read_text())[name]
     got = replay_golden(name)
@@ -54,12 +57,6 @@ def assert_replay_matches_golden(name: str) -> None:
             f"{got_cp['digest']} != {want_cp['digest']}"
         )
     assert got["final_digest"] == want["final_digest"], name
-
-
-def test_golden_step_traces_bit_identical():
-    """The violent whole-IMU fault run. The gold run and the fault type x
-    target runs each have their own test in ``test_differential_step.py``."""
-    assert_replay_matches_golden("imu_random")
 
 
 #: The 3-IMU bank runs and what each must exercise.
@@ -92,8 +89,3 @@ def test_bank_run_exercises_its_recovery_path(name):
         assert not system.redundancy.events
         assert degraded_ticks > 100
 
-
-@pytest.mark.parametrize("name", sorted(BANK_RUNS))
-def test_bank_run_bit_identical(name):
-    """The 3-IMU bank, voter and recovery stay bit-identical per step."""
-    assert_replay_matches_golden(name)
