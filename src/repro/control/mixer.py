@@ -59,7 +59,7 @@ class Mixer:
         rotor map is quadratic (thrust = T_max * command^2), so that the
         commanded collective is actually produced.
         """
-        # Float kernels around the one BLAS call (the matmul), each
+        # Float kernels around the one BLAS call (the signs gemv), each
         # repeating its elementwise numpy original bit for bit.
         g = self.gains
         roll, pitch, yaw = torque_cmd.tolist()
@@ -70,7 +70,7 @@ class Mixer:
             clip_float(yaw, -1.0, 1.0) * g.yaw,
         )
         torque_part = self._fractions
-        np.matmul(self._SIGNS, tq, out=torque_part)
+        self._SIGNS.dot(tq, out=torque_part)
         parts = torque_part.tolist()
 
         # When the torque demand alone spans more than the [0, 1] command

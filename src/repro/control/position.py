@@ -125,9 +125,9 @@ class PositionController:
         thrust_vec[:] = (tx, ty, tz)
 
         # Tilt limiting: angle between thrust_vec and straight up (-z).
-        # math.sqrt(float(v @ v)) == np.linalg.norm(v) bit-for-bit (same
+        # math.sqrt(float(v.dot(v))) == np.linalg.norm(v) bit-for-bit (same
         # BLAS dot), minus the linalg wrapper cost.
-        norm = math.sqrt(float(thrust_vec @ thrust_vec))
+        norm = math.sqrt(float(thrust_vec.dot(thrust_vec)))
         if norm < 1e-6:
             tx, ty, tz = 0.0, 0.0, -self.gravity
             thrust_vec[:] = (tx, ty, tz)
@@ -141,7 +141,7 @@ class PositionController:
                 vertical = self.gravity * 0.5
             max_horizontal = vertical * math.tan(p.max_tilt_rad)
             _clamp_norm_inplace(thrust_vec[:2], max_horizontal)
-            norm = math.sqrt(float(thrust_vec @ thrust_vec))
+            norm = math.sqrt(float(thrust_vec.dot(thrust_vec)))
             tx, ty, tz = thrust_vec.tolist()
 
         # Desired body +z (down) in world frame: -thrust_vec / norm.
@@ -160,7 +160,7 @@ class PositionController:
         yz = zx * sy - zy * cy
         body_y = self._body_y
         body_y[:] = (yx, yy, yz)
-        y_norm = math.sqrt(float(body_y @ body_y))
+        y_norm = math.sqrt(float(body_y.dot(body_y)))
         if y_norm < 1e-6:
             # Thrust nearly horizontal along yaw direction; pick any leg.
             yx, yy, yz = -sy, cy, 0.0
@@ -186,6 +186,6 @@ def _clamp_norm_inplace(vec: np.ndarray, max_norm: float) -> None:
     """In-place :func:`repro.mathutils.clamp_norm` (same dot, same scale)."""
     if max_norm < 0.0:
         raise ValueError(f"max_norm must be non-negative, got {max_norm}")
-    norm_sq = float(vec @ vec)
+    norm_sq = float(vec.dot(vec))
     if norm_sq > max_norm * max_norm:
         np.multiply(vec, max_norm / math.sqrt(norm_sq), out=vec)

@@ -97,10 +97,14 @@ class InnovationMonitor:
         # so a count check is a complete invalidation test.
         self._groups: dict[str, list[ChannelHealth]] = {}
         self._cached_count = 0
+        # `aiding_failed()`'s flags, kept until the next record or reset
+        # (most steps fuse no measurement, so the windows do not move).
+        self._aiding_failed: tuple[bool, bool, bool] | None = None
 
     def record(self, channel: str, time_s: float, test_ratio: float, accepted: bool) -> None:
         """Record one innovation decision."""
         self.channels[channel].record(test_ratio, accepted)
+        self._aiding_failed = None
 
     def channel_failed(self, channel: str) -> bool:
         """True when a channel's rolling window shows sustained rejection."""
@@ -135,6 +139,7 @@ class InnovationMonitor:
         """Reset rejection streaks after a state reset (windows persist)."""
         for health in self._group(prefix):
             health.consecutive_rejections = 0
+        self._aiding_failed = None
 
     def reset_all_windows(self) -> None:
         """Forget every channel's rolling history.
@@ -146,6 +151,23 @@ class InnovationMonitor:
         """
         for health in self.channels.values():
             health.reset_window()
+        self._aiding_failed = None
+
+    def aiding_failed(self) -> tuple[bool, bool, bool]:
+        """``group_failed`` of ``gps_vel``, ``gps_pos`` and ``mag``.
+
+        Computed once per change of the monitor: :meth:`record`,
+        :meth:`clear_group_streaks` and :meth:`reset_all_windows` drop
+        the cached flags.
+        """
+        flags = self._aiding_failed
+        if flags is None:
+            flags = self._aiding_failed = (
+                self.group_failed("gps_vel"),
+                self.group_failed("gps_pos"),
+                self.group_failed("mag"),
+            )
+        return flags
 
     def any_velocity_position_failed(self) -> bool:
         """PX4-style 'filter fault' proxy used by the failsafe engine."""
@@ -169,7 +191,6 @@ class EstimatorHealth:
     velocity_aiding_failed: bool
     position_aiding_failed: bool
     yaw_aiding_failed: bool
-    worst_test_ratio: float
     attitude_std_rad: float = 0.0
     imu_stale: bool = False
 
@@ -180,17 +201,8 @@ class EstimatorHealth:
         attitude_std_rad: float = 0.0,
         imu_stale: bool = False,
     ) -> "EstimatorHealth":
-        worst = max(
-            (ch.last_test_ratio for ch in monitor.channels.values()), default=0.0
-        )
-        return cls(
-            velocity_aiding_failed=monitor.group_failed("gps_vel"),
-            position_aiding_failed=monitor.group_failed("gps_pos"),
-            yaw_aiding_failed=monitor.group_failed("mag"),
-            worst_test_ratio=worst,
-            attitude_std_rad=attitude_std_rad,
-            imu_stale=imu_stale,
-        )
+        velocity, position, yaw = monitor.aiding_failed()
+        return cls(velocity, position, yaw, attitude_std_rad, imu_stale)
 
     @property
     def attitude_invalid(self) -> bool:

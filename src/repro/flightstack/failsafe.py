@@ -201,7 +201,7 @@ class FailsafeEngine:
     ) -> FailsafeTrigger:
         """Evaluate the instantaneous failure-detection conditions."""
         p = self.params
-        rate_norm = math.sqrt(float(gyro_rate_rad_s @ gyro_rate_rad_s))
+        rate_norm = math.sqrt(float(gyro_rate_rad_s.dot(gyro_rate_rad_s)))
         if rate_norm > p.fd_gyro_rate_threshold_rad_s:
             return FailsafeTrigger.GYRO_RATE
         if estimated_tilt_rad > p.fd_tilt_threshold_rad:

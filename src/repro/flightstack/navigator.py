@@ -89,16 +89,16 @@ class Navigator:
 
         leg = self._leg
         np.subtract(target, prev, out=leg)
-        # math.sqrt(float(v @ v)) == np.linalg.norm(v) bit-for-bit (same
+        # math.sqrt(float(v.dot(v))) == np.linalg.norm(v) bit-for-bit (same
         # BLAS dot), minus the linalg wrapper cost.
-        leg_len = math.sqrt(float(leg @ leg))
+        leg_len = math.sqrt(float(leg.dot(leg)))
         np.subtract(target, position_ned, out=self._tt)
-        dist_to_target = math.sqrt(float(self._tt @ self._tt))
+        dist_to_target = math.sqrt(float(self._tt.dot(self._tt)))
 
         # Waypoint acceptance: close enough, or overshot the leg end.
         if leg_len > 1e-6:
             np.subtract(position_ned, target, out=self._rel)
-            overshot = float(self._rel @ leg) > 0.0
+            overshot = float(self._rel.dot(leg)) > 0.0
         else:
             overshot = False
         if dist_to_target <= target_wp.acceptance_radius_m or overshot:
@@ -108,7 +108,7 @@ class Navigator:
                 prev = waypoints[self._index - 1].array
                 target = target_wp.array
                 np.subtract(target, prev, out=leg)
-                leg_len = math.sqrt(float(leg @ leg))
+                leg_len = math.sqrt(float(leg.dot(leg)))
             else:
                 self._done = True
                 return NavigatorOutput(target, self._zero3, self._yaw_sp, speed)
@@ -120,7 +120,7 @@ class Navigator:
             direction = self._dir
             np.divide(leg, leg_len, out=direction)
             np.subtract(position_ned, prev, out=self._rel)
-            along = float(self._rel @ direction)
+            along = float(self._rel.dot(direction))
             lookahead = max(2.0, speed * self.lookahead_s)
             carrot_dist = min(leg_len, along + lookahead)
             carrot = self._carrot
@@ -137,7 +137,7 @@ class Navigator:
         # Decelerate on final approach so the landing transition does not
         # demand a violent braking manoeuvre.
         np.subtract(target, position_ned, out=self._tt)
-        remaining = math.sqrt(float(self._tt @ self._tt)) + self._dist_after[self._index]
+        remaining = math.sqrt(float(self._tt.dot(self._tt))) + self._dist_after[self._index]
         speed = min(speed, max(1.0, 0.6 * remaining))
         velocity_ff = self._ff
         np.multiply(direction, speed, out=velocity_ff)
@@ -148,5 +148,6 @@ class Navigator:
         total = 0.0
         pts = self.plan.waypoints
         for a, b in zip(pts[index:], pts[index + 1 :]):
-            total += float(np.linalg.norm(b.array - a.array))
+            delta = b.array - a.array
+            total += math.sqrt(float(delta.dot(delta)))
         return total

@@ -29,6 +29,7 @@ from repro.mathutils.quaternion import (
     quat_normalize_into,
     quat_multiply_into,
     quat_conjugate_into,
+    quat_rotate_floats,
     quat_rotate_into,
     quat_from_axis_angle_into,
     quat_to_rotation_matrix_into,
@@ -66,6 +67,7 @@ __all__ = [
     "quat_normalize_into",
     "quat_multiply_into",
     "quat_conjugate_into",
+    "quat_rotate_floats",
     "quat_rotate_into",
     "quat_from_axis_angle_into",
     "quat_to_rotation_matrix_into",

@@ -67,7 +67,7 @@ class GeodeticReference:
     def distance_m(self, a: GeoPoint, b: GeoPoint) -> float:
         """3-D straight-line distance between two geodetic points."""
         delta = self.to_local(a) - self.to_local(b)
-        return float(math.sqrt(delta @ delta))
+        return math.sqrt(float(delta.dot(delta)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"GeodeticReference(origin={self.origin})"

@@ -39,7 +39,7 @@ def clamp_norm(vec: np.ndarray, max_norm: float) -> np.ndarray:
     """
     if max_norm < 0.0:
         raise ValueError(f"max_norm must be non-negative, got {max_norm}")
-    norm_sq = float(vec @ vec)
+    norm_sq = float(vec.dot(vec))
     if norm_sq <= max_norm * max_norm:
         return vec
     return vec * (max_norm / math.sqrt(norm_sq))

@@ -17,6 +17,7 @@ order, same rounding.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     which is the only safe fallback inside an estimator loop.
     """
     q = np.asarray(q, dtype=float)
-    norm = math.sqrt(float(q @ q))
+    norm = math.sqrt(float(q.dot(q)))
     if norm < _EPS:
         return quat_identity()
     return q / norm
@@ -95,7 +96,7 @@ def quat_rotate_inverse(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     """Quaternion for a rotation of ``angle`` radians about ``axis``."""
     axis = np.asarray(axis, dtype=float)
-    norm = math.sqrt(float(axis @ axis))
+    norm = math.sqrt(float(axis.dot(axis)))
     if norm < _EPS or abs(angle) < _EPS:
         return quat_identity()
     half = 0.5 * angle
@@ -198,7 +199,7 @@ def quat_integrate(q: np.ndarray, omega_body: np.ndarray, dt: float) -> np.ndarr
     stable for the large rates produced by gyro Min/Max fault injections.
     """
     omega_body = np.asarray(omega_body, dtype=float)
-    angle = math.sqrt(float(omega_body @ omega_body)) * dt
+    angle = math.sqrt(float(omega_body.dot(omega_body))) * dt
     if angle < _EPS:
         dq = np.array(
             [
@@ -217,7 +218,7 @@ def quat_integrate(q: np.ndarray, omega_body: np.ndarray, dt: float) -> np.ndarr
 
 def quat_angle_between(q1: np.ndarray, q2: np.ndarray) -> float:
     """Smallest rotation angle (radians) taking ``q1`` to ``q2``."""
-    dot = abs(float(np.dot(quat_normalize(q1), quat_normalize(q2))))
+    dot = abs(float(quat_normalize(q1).dot(quat_normalize(q2))))
     dot = min(1.0, dot)
     return 2.0 * math.acos(dot)
 
@@ -226,7 +227,7 @@ def quat_slerp(q1: np.ndarray, q2: np.ndarray, t: float) -> np.ndarray:
     """Spherical linear interpolation between ``q1`` and ``q2``."""
     q1 = quat_normalize(q1)
     q2 = quat_normalize(q2)
-    dot = float(np.dot(q1, q2))
+    dot = float(q1.dot(q2))
     if dot < 0.0:
         q2 = -q2
         dot = -dot
@@ -256,14 +257,18 @@ def quat_slerp(q1: np.ndarray, q2: np.ndarray, t: float) -> np.ndarray:
 
 def quat_normalize_into(q: np.ndarray, out: np.ndarray) -> np.ndarray:
     """In-place :func:`quat_normalize`; ``out`` may alias ``q``."""
-    norm = math.sqrt(float(q @ q))
+    norm = math.sqrt(float(q.dot(q)))
     if norm < _EPS:
         out[0] = 1.0
         out[1] = 0.0
         out[2] = 0.0
         out[3] = 0.0
         return out
-    np.divide(q, norm, out=out)
+    w, x, y, z = q.tolist()
+    out[0] = w / norm
+    out[1] = x / norm
+    out[2] = y / norm
+    out[3] = z / norm
     return out
 
 
@@ -294,22 +299,31 @@ def quat_conjugate_into(q: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def quat_rotate_into(q: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """In-place :func:`quat_rotate`; ``out`` may alias ``v``."""
-    w, x, y, z = q.tolist()
-    vx, vy, vz = v.tolist()
+    out[0], out[1], out[2] = quat_rotate_floats(q.tolist(), v.tolist())
+    return out
+
+
+def quat_rotate_floats(
+    q: Sequence[float], v: Sequence[float]
+) -> tuple[float, float, float]:
+    """:func:`quat_rotate` on Python floats: ``q`` is ``(w, x, y, z)``."""
+    w, x, y, z = q
+    vx, vy, vz = v
     tx = 2.0 * (y * vz - z * vy)
     ty = 2.0 * (z * vx - x * vz)
     tz = 2.0 * (x * vy - y * vx)
-    out[0] = vx + w * tx + (y * tz - z * ty)
-    out[1] = vy + w * ty + (z * tx - x * tz)
-    out[2] = vz + w * tz + (x * ty - y * tx)
-    return out
+    return (
+        vx + w * tx + (y * tz - z * ty),
+        vy + w * ty + (z * tx - x * tz),
+        vz + w * tz + (x * ty - y * tx),
+    )
 
 
 def quat_from_axis_angle_into(
     axis: np.ndarray, angle: float, out: np.ndarray
 ) -> np.ndarray:
     """In-place :func:`quat_from_axis_angle`. ``out`` must not alias ``axis``."""
-    norm = math.sqrt(float(axis @ axis))
+    norm = math.sqrt(float(axis.dot(axis)))
     if norm < _EPS or abs(angle) < _EPS:
         out[0] = 1.0
         out[1] = 0.0
@@ -328,7 +342,7 @@ def quat_from_axis_angle_into(
 
 def quat_to_rotation_matrix_into(q: np.ndarray, out: np.ndarray) -> np.ndarray:
     """In-place :func:`quat_to_rotation_matrix` (``out`` is 3x3)."""
-    norm = math.sqrt(float(q @ q))
+    norm = math.sqrt(float(q.dot(q)))
     if norm < _EPS:
         w, x, y, z = 1.0, 0.0, 0.0, 0.0
     else:
@@ -385,7 +399,7 @@ def quat_integrate_into(
     q: np.ndarray, omega_body: np.ndarray, dt: float, out: np.ndarray
 ) -> np.ndarray:
     """In-place :func:`quat_integrate`; ``out`` may alias ``q``."""
-    norm = math.sqrt(float(omega_body @ omega_body))
+    norm = math.sqrt(float(omega_body.dot(omega_body)))
     angle = norm * dt
     wx, wy, wz = omega_body.tolist()
     if angle < _EPS:

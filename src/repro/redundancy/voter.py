@@ -152,12 +152,14 @@ class Voter:
         # BLAS dot of a contiguous row with itself (a Python sum of
         # squares differs: DESIGN §11). A (1, 3) @ (3, 1) matmul sends
         # each 1 x 1 product to that same dot, one matmul for all rows.
+        # The matmuls are batched over members (3-D), which ndarray.dot
+        # does not broadcast, hence the NUM004 suppressions.
         accel_dev = self._accel_dev
         gyro_dev = self._gyro_dev
         np.subtract(accels, median_accel, out=accel_dev)
         np.subtract(gyros, median_gyro, out=gyro_dev)
-        accel_sq = np.matmul(accel_dev, accel_dev.transpose(0, 2, 1)).tolist()
-        gyro_sq = np.matmul(gyro_dev, gyro_dev.transpose(0, 2, 1)).tolist()
+        accel_sq = np.matmul(accel_dev, accel_dev.transpose(0, 2, 1)).tolist()  # reprolint: disable=NUM004
+        gyro_sq = np.matmul(gyro_dev, gyro_dev.transpose(0, 2, 1)).tolist()  # reprolint: disable=NUM004
         residuals: list[float] = []
         mismatched: list[bool] = []
         for i in range(self.num_members):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from repro.mathutils import quat_rotate_into
+from repro.mathutils import quat_rotate_floats
 from repro.sim.environment import Environment
 from repro.sim.motors import MotorBank, MotorModel
 
@@ -86,70 +88,70 @@ class QuadrotorAirframe:
         arm = self.params.arm_length_m
         self._positions = np.array([(x * arm, y * arm) for x, y, _ in self._LAYOUT])
         self._spins = np.array([s for _, _, s in self._LAYOUT])
-        # Hot-loop work buffers. `forces_and_torques` returns `_force`
-        # and `_torque` without copying; they are valid until the next
-        # call (the physics step consumes them immediately).
-        self._thrust_body = np.zeros(3)
-        self._thrust_world = np.zeros(3)
+        # Work buffer for the wind-relative velocity, whose speed is a
+        # BLAS dot of it with itself.
         self._v_rel = np.zeros(3)
-        self._mg = np.zeros(3)
-        self._force = np.zeros(3)
-        self._torque = np.zeros(3)
 
     def forces_and_torques(
         self,
         thrusts_n: np.ndarray,
-        quaternion: np.ndarray,
-        velocity_ned: np.ndarray,
-        angular_rate_body: np.ndarray,
+        quaternion: Sequence[float],
+        velocity_ned: Sequence[float],
+        angular_rate_body: Sequence[float],
+        wind_ned: Sequence[float],
         env: Environment,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Return (world-frame force, body-frame torque).
+    ) -> tuple[float, float, float, float, float, float]:
+        """Return world-frame force and body-frame torque as one 6-tuple.
 
         Force includes gravity, rotor thrust, and aerodynamic drag against
         the wind-relative velocity. Torque includes thrust lever arms, yaw
-        reaction, and rotational damping.
+        reaction, and rotational damping. A Python-float kernel:
+        ``thrusts_n`` is the motor bank's array (the lever-arm sums are
+        BLAS dots over it), the state and wind are float sequences.
         """
         p = self.params
-        total_thrust = float(np.sum(thrusts_n))
+        t0, t1, t2, t3 = thrusts_n.tolist()
+        # `np.sum` of four values adds them left to right.
+        total_thrust = ((t0 + t1) + t2) + t3
 
         # Thrust acts along -z body (upward for a level vehicle).
-        tb = self._thrust_body
-        tb[2] = -total_thrust
-        quat_rotate_into(quaternion, tb, self._thrust_world)
+        twx, twy, twz = quat_rotate_floats(quaternion, (0.0, 0.0, -total_thrust))
 
+        v0, v1, v2 = velocity_ned
+        w0, w1, w2 = wind_ned
+        vr0 = v0 - w0
+        vr1 = v1 - w1
+        vr2 = v2 - w2
         v_rel = self._v_rel
-        np.subtract(velocity_ned, env.wind.current_wind_ned, out=v_rel)
-        speed = float(np.sqrt(v_rel @ v_rel))
-        # drag = -(0.5 * rho * A * speed + c_lin) * v_rel, folded in place.
-        np.multiply(
-            v_rel,
-            -(0.5 * env.air_density_kg_m3 * p.drag_area_m2 * speed + p.linear_drag_coeff),
-            out=v_rel,
-        )
-
-        force = self._force
-        np.add(self._thrust_world, v_rel, out=force)
-        np.multiply(env.gravity_ned, p.mass_kg, out=self._mg)
-        np.add(force, self._mg, out=force)
+        v_rel[0] = vr0
+        v_rel[1] = vr1
+        v_rel[2] = vr2
+        speed = math.sqrt(float(v_rel.dot(v_rel)))
+        # drag = -(0.5 * rho * A * speed + c_lin) * v_rel
+        drag = -(0.5 * env.air_density_kg_m3 * p.drag_area_m2 * speed + p.linear_drag_coeff)
+        mass = p.mass_kg
+        g0, g1, g2 = env.gravity_ned.tolist()
+        fx = (twx + vr0 * drag) + g0 * mass
+        fy = (twy + vr1 * drag) + g1 * mass
+        fz = (twz + vr2 * drag) + g2 * mass
 
         # Torque from thrust lever arms: r x F with F = (0, 0, -T). The
         # lever columns are sliced here, not stored: a stored view comes
         # back from deepcopy as a contiguous copy, whose BLAS dot product
         # rounds differently.
         positions = self._positions
-        tau_x = float(-np.dot(positions[:, 1], thrusts_n))
-        tau_y = float(np.dot(positions[:, 0], thrusts_n))
-        tau_z = float(np.dot(self._spins, thrusts_n)) * p.motor.torque_ratio_m
+        tau_x = -float(positions[:, 1].dot(thrusts_n))
+        tau_y = float(positions[:, 0].dot(thrusts_n))
+        tau_z = float(self._spins.dot(thrusts_n)) * p.motor.torque_ratio_m
 
-        w = angular_rate_body
-        w0 = w[0]
-        w1 = w[1]
-        w2 = w[2]
+        r0, r1, r2 = angular_rate_body
         neg_ad = -p.angular_damping
         adl = p.angular_damping_linear
-        torque = self._torque
-        torque[0] = tau_x + ((neg_ad * w0) * abs(w0) - adl * w0)
-        torque[1] = tau_y + ((neg_ad * w1) * abs(w1) - adl * w1)
-        torque[2] = tau_z + ((neg_ad * w2) * abs(w2) - adl * w2)
-        return force, torque
+        return (
+            fx,
+            fy,
+            fz,
+            tau_x + ((neg_ad * r0) * abs(r0) - adl * r0),
+            tau_y + ((neg_ad * r1) * abs(r1) - adl * r1),
+            tau_z + ((neg_ad * r2) * abs(r2) - adl * r2),
+        )

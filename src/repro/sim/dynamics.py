@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.mathutils import (
-    quat_conjugate_into,
     quat_from_euler,
     quat_integrate_into,
-    quat_rotate_into,
+    quat_rotate_floats,
     quat_to_euler,
 )
 from repro.sim.airframe import QuadrotorAirframe
@@ -58,13 +58,8 @@ class QuadrotorPhysics:
         # accelerometer strapped to the body would read, in body axes.
         # Updated in place every step; copy before storing across steps.
         self.specific_force_body = np.array([0.0, 0.0, -self.environment.gravity_m_s2])
-        # Hot-loop work buffers (in-place forms are bit-identical to the
-        # allocating originals; see DESIGN.md section 11).
-        self._accel = np.zeros(3)
-        self._non_grav = np.zeros(3)
-        self._q_conj = np.zeros(4)
+        # Work buffers for the BLAS gemvs of the rotational dynamics.
         self._iw = np.zeros(3)
-        self._cross = np.zeros(3)
         self._tau_net = np.zeros(3)
         self._w_dot = np.zeros(3)
 
@@ -72,73 +67,74 @@ class QuadrotorPhysics:
         """Advance physics by ``dt`` with the given normalised motor commands."""
         if dt <= 0.0:
             raise ValueError("dt must be positive")
+        # Python-float kernel: every elementwise step repeats its numpy
+        # original's operation order; the gemvs and the norms of the
+        # clamps stay BLAS (DESIGN.md section 11).
         env = self.environment
-        env.wind.step(dt)
-
-        thrusts = self.airframe.motors.step(motor_commands, dt)
-        force_world, torque_body = self.airframe.forces_and_torques(
-            thrusts,
-            self.state.quaternion,
-            self.state.velocity_ned,
-            self.state.angular_rate_body,
-            env,
+        wind = env.wind.step(dt).tolist()
+        airframe = self.airframe
+        thrusts = airframe.motors.step(motor_commands, dt)
+        state = self.state
+        q = state.quaternion.tolist()
+        v = state.velocity_ned
+        w = state.angular_rate_body
+        v0, v1, v2 = v.tolist()
+        w0, w1, w2 = w.tolist()
+        fx, fy, fz, tau0, tau1, tau2 = airframe.forces_and_torques(
+            thrusts, q, (v0, v1, v2), (w0, w1, w2), wind, env
         )
-
-        mass = self.airframe.params.mass_kg
 
         # Ground reaction: while resting on the plane, the normal force
         # cancels any net downward force, so the accelerometer correctly
-        # reads -g instead of free-fall zero. (`force_world` is the
-        # airframe's transient buffer, so it can be edited directly.)
-        if self.on_ground and force_world[2] > 0.0:
-            force_world[2] = 0.0
+        # reads -g instead of free-fall zero.
+        if self.on_ground and fz > 0.0:
+            fz = 0.0
 
-        accel_world = self._accel
-        np.divide(force_world, mass, out=accel_world)
+        mass = airframe.params.mass_kg
+        ax = fx / mass
+        ay = fy / mass
+        az = fz / mass
 
         # The accelerometer measures specific force: total non-gravitational
         # acceleration, expressed in body axes.
-        np.subtract(accel_world, env.gravity_ned, out=self._non_grav)
-        quat_conjugate_into(self.state.quaternion, self._q_conj)
-        quat_rotate_into(self._q_conj, self._non_grav, self.specific_force_body)
+        g0, g1, g2 = env.gravity_ned.tolist()
+        qw, qx, qy, qz = q
+        sf = self.specific_force_body
+        sf[0], sf[1], sf[2] = quat_rotate_floats(
+            (qw, -qx, -qy, -qz), (ax - g0, ay - g1, az - g2)
+        )
 
         # Rotational dynamics: I w_dot = tau - w x (I w)
-        w = self.state.angular_rate_body
-        np.matmul(self.airframe.inertia, w, out=self._iw)
-        iw = self._iw
-        w0 = w[0]
-        w1 = w[1]
-        w2 = w[2]
-        self._cross[0] = w1 * iw[2] - w2 * iw[1]
-        self._cross[1] = w2 * iw[0] - w0 * iw[2]
-        self._cross[2] = w0 * iw[1] - w1 * iw[0]
-        np.subtract(torque_body, self._cross, out=self._tau_net)
-        np.matmul(self.airframe.inertia_inv, self._tau_net, out=self._w_dot)
-        w_dot = self._w_dot
+        airframe.inertia.dot(w, out=self._iw)
+        iw0, iw1, iw2 = self._iw.tolist()
+        tau_net = self._tau_net
+        tau_net[0] = tau0 - (w1 * iw2 - w2 * iw1)
+        tau_net[1] = tau1 - (w2 * iw0 - w0 * iw2)
+        tau_net[2] = tau2 - (w0 * iw1 - w1 * iw0)
+        airframe.inertia_inv.dot(tau_net, out=self._w_dot)
+        wd0, wd1, wd2 = self._w_dot.tolist()
 
-        # Semi-implicit Euler: velocities first, then poses. All state
-        # arrays are updated in place (bit-identical to the allocating
-        # `v + a * dt` form).
-        v = self.state.velocity_ned
-        v[0] = v[0] + accel_world[0] * dt
-        v[1] = v[1] + accel_world[1] * dt
-        v[2] = v[2] + accel_world[2] * dt
-        _clamp_vec_inplace(v, _MAX_SPEED_M_S)
-        w[0] = w[0] + w_dot[0] * dt
-        w[1] = w[1] + w_dot[1] * dt
-        w[2] = w[2] + w_dot[2] * dt
+        # Semi-implicit Euler: velocities first, then poses, with every
+        # state array updated in place.
+        v[0] = v0 = v0 + ax * dt
+        v[1] = v1 = v1 + ay * dt
+        v[2] = v2 = v2 + az * dt
+        if _clamp_vec_inplace(v, _MAX_SPEED_M_S):
+            v0, v1, v2 = v.tolist()
+        w[0] = w0 + wd0 * dt
+        w[1] = w1 + wd1 * dt
+        w[2] = w2 + wd2 * dt
         _clamp_vec_inplace(w, _MAX_RATE_RAD_S)
-        pos = self.state.position_ned
-        pos[0] = pos[0] + v[0] * dt
-        pos[1] = pos[1] + v[1] * dt
-        pos[2] = pos[2] + v[2] * dt
-        quat_integrate_into(
-            self.state.quaternion, w, dt, out=self.state.quaternion
-        )
+        pos = state.position_ned
+        p0, p1, p2 = pos.tolist()
+        pos[0] = p0 + v0 * dt
+        pos[1] = p1 + v1 * dt
+        pos[2] = p2 + v2 * dt
+        quat_integrate_into(state.quaternion, w, dt, out=state.quaternion)
 
         self._handle_ground(dt)
         self.time_s += dt
-        return self.state
+        return state
 
     def _handle_ground(self, dt: float) -> None:
         """Clamp the vehicle at the ground plane and record impacts."""
@@ -169,8 +165,13 @@ class QuadrotorPhysics:
             self.on_ground = False
 
 
-def _clamp_vec_inplace(vec: np.ndarray, max_norm: float) -> None:
-    """Scale ``vec`` in place down to ``max_norm`` if it is longer."""
-    norm_sq = float(vec @ vec)
+def _clamp_vec_inplace(vec: np.ndarray, max_norm: float) -> bool:
+    """Scale ``vec`` in place down to ``max_norm`` if it is longer.
+
+    Returns whether it scaled.
+    """
+    norm_sq = float(vec.dot(vec))
     if norm_sq > max_norm * max_norm:
-        np.multiply(vec, max_norm / np.sqrt(norm_sq), out=vec)
+        np.multiply(vec, max_norm / math.sqrt(norm_sq), out=vec)
+        return True
+    return False

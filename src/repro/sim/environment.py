@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +42,9 @@ class WindModel:
         self.gust_tau_s = gust_tau_s
         self._rng = np.random.default_rng(seed)
         self._gust = np.zeros(3)
-        # Hot-loop work buffers (bit-identical in-place forms of the
-        # original expressions; see DESIGN.md section 11).
+        # Hot-loop work buffers: the RNG draws into `_noise`, and `step`
+        # returns `_wind`.
         self._noise = np.zeros(3)
-        self._delta = np.zeros(3)
         self._wind = np.zeros(3)
 
     def step(self, dt: float) -> np.ndarray:
@@ -53,18 +53,29 @@ class WindModel:
         The returned array is a reused buffer; copy it to keep it across
         steps.
         """
+        g0, g1, g2 = self._gust.tolist()
         if self.gust_sigma_m_s > 0.0:
             decay = dt / self.gust_tau_s
             self._rng.standard_normal(out=self._noise)
-            # In-place form of
+            n0, n1, n2 = self._noise.tolist()
+            # Float form of
             #   gust += -gust * decay + sigma * sqrt(2 * decay) * noise
-            # keeping the exact operation order of the allocating original.
-            np.multiply(self._gust, -decay, out=self._delta)
-            np.multiply(self._noise, self.gust_sigma_m_s * np.sqrt(2.0 * decay), out=self._noise)
-            np.add(self._delta, self._noise, out=self._delta)
-            self._gust += self._delta
-        np.add(self.mean_wind_ned, self._gust, out=self._wind)
-        return self._wind
+            # keeping the exact operation order of the numpy original.
+            neg_decay = -decay
+            scale = self.gust_sigma_m_s * math.sqrt(2.0 * decay)
+            g0 = g0 + (g0 * neg_decay + n0 * scale)
+            g1 = g1 + (g1 * neg_decay + n1 * scale)
+            g2 = g2 + (g2 * neg_decay + n2 * scale)
+            gust = self._gust
+            gust[0] = g0
+            gust[1] = g1
+            gust[2] = g2
+        m0, m1, m2 = self.mean_wind_ned.tolist()
+        wind = self._wind
+        wind[0] = m0 + g0
+        wind[1] = m1 + g1
+        wind[2] = m2 + g2
+        return wind
 
     @property
     def current_wind_ned(self) -> np.ndarray:

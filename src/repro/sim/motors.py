@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mathutils import clamp
+from repro.mathutils import clamp, clip_float
 
 
 @dataclass
@@ -51,10 +51,8 @@ class MotorBank:
         self.model = model
         self.count = count
         self._effective = np.zeros(count)
-        # Hot-loop work buffers; `step` returns `self._thrust` without
-        # copying, so callers must consume it before the next step.
-        self._cmd = np.zeros(count)
-        self._delta = np.zeros(count)
+        # `step` returns `self._thrust` without copying, so callers must
+        # consume it before the next step.
         self._thrust = np.zeros(count)
 
     def reset(self) -> None:
@@ -71,18 +69,17 @@ class MotorBank:
         commands = np.asarray(commands, dtype=float)
         if commands.shape != (self.count,):
             raise ValueError(f"expected {self.count} motor commands, got {commands.shape}")
-        np.maximum(commands, 0.0, out=self._cmd)
-        np.minimum(self._cmd, 1.0, out=self._cmd)
         alpha = clamp(dt / self.model.time_constant_s, 0.0, 1.0)
-        # In-place form of `effective += alpha * (cmd - effective)` and
-        # `max_thrust * effective**2`, preserving the rounding of the
-        # allocating originals bit-for-bit.
-        np.subtract(self._cmd, self._effective, out=self._delta)
-        self._delta *= alpha
-        self._effective += self._delta
-        np.multiply(self._effective, self._effective, out=self._thrust)
-        self._thrust *= self.model.max_thrust_n
-        return self._thrust
+        max_thrust = self.model.max_thrust_n
+        # Float form of `effective += alpha * (clip(cmd, 0, 1) - effective)`
+        # and `max_thrust * effective**2`, rounding as the numpy original.
+        effective = self._effective
+        thrust = self._thrust
+        for i, (c, e) in enumerate(zip(commands.tolist(), effective.tolist())):
+            e = e + (clip_float(c, 0.0, 1.0) - e) * alpha
+            effective[i] = e
+            thrust[i] = (e * e) * max_thrust
+        return thrust
 
     @property
     def effective_commands(self) -> np.ndarray:

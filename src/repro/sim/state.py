@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ class RigidBodyState:
     def speed_m_s(self) -> float:
         """Ground speed magnitude (3-D)."""
         v = self.velocity_ned
-        return float(np.sqrt(v @ v))
+        return math.sqrt(float(v.dot(v)))
 
     @property
     def euler_rad(self) -> tuple[float, float, float]:

@@ -1,7 +1,7 @@
 """reprolint: domain-aware static analysis for the repro tree.
 
 A custom AST analyzer that knows this simulator's invariants —
-determinism (DET001–004), numeric robustness (NUM001–003), fault-model
+determinism (DET001–004), numeric robustness and step-loop BLAS dispatch (NUM001–004), fault-model
 exhaustiveness and persistence (FM001–002), the atomic-write
 contract (IO001), the observability read-only contract (OBS001), and
 deep-copy fidelity of the vehicle layers (COPY001). Run it with::
@@ -34,6 +34,7 @@ from repro.staticcheck.rules_determinism import (
 )
 from repro.staticcheck.rules_faultmodel import ExhaustiveDispatchRule, SpecRoundTripRule
 from repro.staticcheck.rules_numerics import (
+    BlasDispatchRule,
     FloatEqualityRule,
     NaNComparisonRule,
     UnguardedDivisionRule,
@@ -49,6 +50,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     FloatEqualityRule,
     UnguardedDivisionRule,
     NaNComparisonRule,
+    BlasDispatchRule,
     ExhaustiveDispatchRule,
     SpecRoundTripRule,
     RawWriteRule,

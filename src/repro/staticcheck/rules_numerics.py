@@ -1,9 +1,10 @@
-"""Numerics rules (NUM001–NUM003).
+"""Numerics rules (NUM001–NUM004).
 
 Float-identity tests, unguarded divisions and NaN comparisons are the
 three numeric bug classes that survive unit tests (they need a fault
 window or an edge-case state to trigger) but corrupt campaign
-statistics when they do fire mid-run.
+statistics when they do fire mid-run. NUM004 keeps the step loop's
+BLAS calls on their cheapest bit-identical entry point.
 """
 
 from __future__ import annotations
@@ -213,3 +214,58 @@ class NaNComparisonRule(Rule):
             and isinstance(node.args[0].value, str)
             and node.args[0].value.strip().lower() in ("nan", "-nan", "+nan")
         )
+
+
+#: Packages (and root modules) whose code runs inside ``UavSystem.step``.
+_STEP_LOOP_PACKAGES = frozenset(
+    {
+        "sim",
+        "sensors",
+        "estimation",
+        "control",
+        "flightstack",
+        "redundancy",
+        "uspace",
+        "telemetry",
+        "mathutils",
+        "obs",
+    }
+)
+_STEP_LOOP_MODULES = frozenset({"system.py"})
+
+_BLAS_WRAPPERS = frozenset({"numpy.matmul", "numpy.dot", "numpy.linalg.norm"})
+
+
+class BlasDispatchRule(Rule):
+    """NUM004: the step loop calls BLAS through ``ndarray.dot``.
+
+    ``@``, ``np.matmul``, ``np.dot`` and ``np.linalg.norm`` on 1-D and
+    2-D operands reach the same cblas kernel as ``ndarray.dot``
+    (``np.linalg.norm`` itself is ``sqrt(x.dot(x))``), so the bits are
+    the same, but each pays the ufunc or array-function layer first:
+    about twice the cost of the kernel on the 3- to 15-element operands
+    of the step (DESIGN.md section 11). Flags those four in the
+    step-loop packages; a batched (3-D) matmul, which ``dot`` does not
+    broadcast, carries a per-line suppression.
+    """
+
+    rule_id = "NUM004"
+    summary = "step-loop BLAS calls go through ndarray.dot"
+    fixit = (
+        "call a.dot(b) (with out= for a gemv/gemm into a buffer), and "
+        "math.sqrt(float(v.dot(v))) for a norm: the same BLAS kernel "
+        "without the ufunc dispatch"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        if ctx.package not in _STEP_LOOP_PACKAGES and ctx.rel_path not in _STEP_LOOP_MODULES:
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult
+            ):
+                yield self.violation(ctx, node, "'@' in the step loop")
+            elif isinstance(node, ast.Call):
+                called = ctx.resolve(node.func)
+                if called in _BLAS_WRAPPERS:
+                    yield self.violation(ctx, node, f"{called}() in the step loop")

@@ -58,7 +58,7 @@ class ConflictDetector:
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
                 delta = positions[a] - positions[b]
-                distance = math.sqrt(float(delta @ delta))
+                distance = math.sqrt(float(delta.dot(delta)))
                 required = outer_radii[a] + outer_radii[b]
                 if distance < required:
                     pair = (a, b)

@@ -87,7 +87,7 @@ class BubbleMonitor:
             distance_covered = 0.0
         else:
             delta = position_ned - self._prev_position
-            distance_covered = math.sqrt(float(delta @ delta))
+            distance_covered = math.sqrt(float(delta.dot(delta)))
         self._prev_position = position_ned.copy()
 
         outer_radius = self.outer_bubble.update(airspeed_m_s, distance_covered)

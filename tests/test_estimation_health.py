@@ -1,5 +1,8 @@
 """Unit tests for the innovation monitor and estimator health flags."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.estimation.health import ChannelHealth, EstimatorHealth, InnovationMonitor
 
 
@@ -81,16 +84,16 @@ def test_estimator_health_from_monitor():
 
 
 def test_attitude_invalid_threshold():
-    health = EstimatorHealth(False, False, False, 0.0, attitude_std_rad=0.6)
+    health = EstimatorHealth(False, False, False, attitude_std_rad=0.6)
     assert health.attitude_invalid
     assert health.degraded
-    ok = EstimatorHealth(False, False, False, 0.0, attitude_std_rad=0.3)
+    ok = EstimatorHealth(False, False, False, attitude_std_rad=0.3)
     assert not ok.attitude_invalid
     assert not ok.degraded
 
 
 def test_imu_stale_degrades():
-    health = EstimatorHealth(False, False, False, 0.0, imu_stale=True)
+    health = EstimatorHealth(False, False, False, imu_stale=True)
     assert health.degraded
 
 
@@ -100,3 +103,43 @@ def test_healthy_monitor_not_degraded():
         mon.record("gps_vel_0", 0.0, 0.1, True)
         mon.record("gps_pos_0", 0.0, 0.1, True)
     assert not EstimatorHealth.from_monitor(mon).degraded
+
+
+#: One public monitor call: a burst of records on a channel of each group
+#: (or one no group reads), long enough to fail it, a window reset, or a
+#: group's streak reset.
+monitor_ops = st.one_of(
+    st.tuples(
+        st.just("record"),
+        st.sampled_from(["gps_vel_0", "gps_vel_2", "gps_pos_1", "mag", "baro", "grav"]),
+        st.booleans(),
+        st.integers(1, 30),
+    ),
+    st.tuples(st.just("reset_all_windows")),
+    st.tuples(st.just("clear_group_streaks"), st.sampled_from(["gps_vel", "gps_pos", "mag"])),
+)
+
+
+@given(st.lists(monitor_ops, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_cached_aiding_flags_match_a_fresh_computation(ops):
+    """After every public path that changes the monitor (record,
+    reset_all_windows, clear_group_streaks), the cached flags equal the
+    group scans, and so does the health built from them."""
+    mon = InnovationMonitor()
+    for op in ops:
+        if op[0] == "record":
+            for _ in range(op[3]):
+                mon.record(op[1], 0.0, 0.1 if op[2] else 3.0, op[2])
+        elif op[0] == "reset_all_windows":
+            mon.reset_all_windows()
+        else:
+            mon.clear_group_streaks(op[1])
+        fresh = (mon.group_failed("gps_vel"), mon.group_failed("gps_pos"), mon.group_failed("mag"))
+        assert mon.aiding_failed() == fresh
+        health = EstimatorHealth.from_monitor(mon)
+        assert (
+            health.velocity_aiding_failed,
+            health.position_aiding_failed,
+            health.yaw_aiding_failed,
+        ) == fresh

@@ -8,8 +8,8 @@ from repro.estimation.health import EstimatorHealth
 from repro.flightstack import FailsafeEngine, FailsafeState, FailsafeTrigger, FlightParams
 
 
-HEALTHY = EstimatorHealth(False, False, False, 0.0)
-SICK = EstimatorHealth(True, False, False, 5.0)
+HEALTHY = EstimatorHealth(False, False, False)
+SICK = EstimatorHealth(True, False, False)
 
 CALM = np.zeros(3)
 SPINNING = np.array([2.0, 0.0, 0.0])  # ~115 deg/s, above the 60 deg/s default

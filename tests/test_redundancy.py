@@ -372,7 +372,7 @@ def test_manager_describe_is_total_over_states():
 # -- Failsafe isolation reporting ------------------------------------
 
 
-HEALTHY = EstimatorHealth(False, False, False, 0.0)
+HEALTHY = EstimatorHealth(False, False, False)
 SPINNING = np.array([2.0, 0.0, 0.0])
 CALM = np.zeros(3)
 

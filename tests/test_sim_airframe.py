@@ -18,13 +18,15 @@ def still_env():
 
 
 def forces(airframe, env, thrusts, quat=None, vel=None, rates=None):
-    return airframe.forces_and_torques(
+    wrench = airframe.forces_and_torques(
         np.asarray(thrusts, dtype=float),
-        quat if quat is not None else quat_identity(),
-        vel if vel is not None else np.zeros(3),
-        rates if rates is not None else np.zeros(3),
+        (quat if quat is not None else quat_identity()).tolist(),
+        (vel if vel is not None else np.zeros(3)).tolist(),
+        (rates if rates is not None else np.zeros(3)).tolist(),
+        env.wind.current_wind_ned.tolist(),
         env,
     )
+    return np.array(wrench[:3]), np.array(wrench[3:])
 
 
 def test_zero_thrust_force_is_weight(airframe, still_env):

@@ -24,7 +24,7 @@ def test_repro_tree_is_clean():
     report = run_reprolint([SRC_TREE])
     assert report.clean, "\n" + render_text(report)
     assert report.files_scanned > 50
-    assert len(report.rule_ids) == 12
+    assert len(report.rule_ids) == 13
 
 
 def test_cli_exits_zero_and_emits_json_on_clean_tree(capsys):
@@ -33,7 +33,7 @@ def test_cli_exits_zero_and_emits_json_on_clean_tree(capsys):
     assert exit_code == 0
     assert payload["clean"] is True
     assert payload["violation_count"] == 0
-    assert len(payload["rules"]) == 12
+    assert len(payload["rules"]) == 13
 
 
 def test_cli_exit_codes_on_violation_and_error(tmp_path, capsys):

@@ -26,6 +26,7 @@ from repro.staticcheck.rules_determinism import (
 )
 from repro.staticcheck.rules_faultmodel import ExhaustiveDispatchRule, SpecRoundTripRule
 from repro.staticcheck.rules_numerics import (
+    BlasDispatchRule,
     FloatEqualityRule,
     NaNComparisonRule,
     UnguardedDivisionRule,
@@ -347,6 +348,63 @@ def test_num003_silent_on_isnan(tmp_path):
             """
         },
         NaNComparisonRule,
+    )
+    assert report.clean
+
+
+# ---------------------------------------------------------------------------
+# NUM004 — step-loop BLAS calls go through ndarray.dot
+
+
+def test_num004_fires_on_blas_wrappers_in_the_step_loop(tmp_path):
+    report = lint(
+        tmp_path,
+        {
+            "sim/frame.py": """\
+                import numpy as np
+                from numpy.linalg import norm
+
+                def step(rot, v, out, cov):
+                    speed = float(v @ v)
+                    np.matmul(rot, v, out=out)
+                    cov @= rot
+                    return speed + np.dot(v, v) + np.linalg.norm(v) + norm(v)
+            """,
+            "system.py": """\
+                import numpy
+
+                def airspeed(v):
+                    return float(numpy.linalg.norm(v))
+            """,
+        },
+        BlasDispatchRule,
+    )
+    assert rule_ids(report) == ["NUM004"] * 7
+
+
+def test_num004_silent_on_ndarray_dot_suppressed_lines_and_outside(tmp_path):
+    report = lint(
+        tmp_path,
+        {
+            "estimation/filter.py": """\
+                import math
+
+                def step(rot, v, out, stack):
+                    rot.dot(v, out=out)
+                    speed = math.sqrt(float(v.dot(v)))
+                    # Batched over members: dot does not broadcast.
+                    sq = np.matmul(stack, stack.transpose(0, 2, 1))  # reprolint: disable=NUM004
+                    return speed, sq
+            """,
+            # Analysis code outside the step loop may use any form.
+            "core/analysis.py": """\
+                import numpy as np
+
+                def spread(a, b):
+                    return float(np.linalg.norm(a - b)) + float(a @ b)
+            """,
+        },
+        BlasDispatchRule,
     )
     assert report.clean
 
@@ -812,6 +870,7 @@ def test_registry_covers_every_rule_id():
         "NUM001",
         "NUM002",
         "NUM003",
+        "NUM004",
         "FM001",
         "FM002",
         "IO001",
