@@ -171,6 +171,23 @@ def test_categorical_code_tables_are_first_sight():
     assert list(blackbox_payload_column(payload, "phase_code")) == [0.0, 1.0, 0.0]
 
 
+def test_blackbox_sigma_is_the_filter_sigma_after_each_step():
+    """A row's attitude sigma is the one the step read for its health
+    check; nothing after that read touches the filter, so it is still
+    the filter's sigma when the observer records (through a fault)."""
+    from repro.obs.observer import Observer
+    from repro.obs.registry import MetricsRegistry
+    from repro.perf.fingerprint import GOLDEN_SPECS, build_pinned_system
+
+    system = build_pinned_system(
+        GOLDEN_SPECS["imu_random"].fault, obs=Observer(registry=MetricsRegistry())
+    )
+    for _ in range(700):  # through the fault's start at 4.0 s
+        system.step()
+        got = system.obs.blackbox.column("attitude_std_rad")[-1]
+        assert got.tobytes() == np.float64(system.ekf.attitude_std_rad).tobytes()
+
+
 def blackbox_payload_column(payload, name):
     rows = np.asarray(payload["rows"], dtype=float)
     return rows[:, payload["columns"].index(name)]

@@ -40,9 +40,9 @@ def fake_system(est=(1.0, 2.0, -15.0), truth=(1.0, 2.0, -15.0),
             position_ned=np.array(est, dtype=float),
             velocity_ned=np.zeros(3),
             quaternion=np.array([1.0, 0.0, 0.0, 0.0]),
-            attitude_std_rad=0.01,
         ),
         _last_gyro=np.zeros(3),
+        _last_attitude_std=0.01,
         commander=Stub(phase=Stub(value=phase)),
         failsafe=Stub(state=Stub(value=failsafe)),
         redundancy=Stub(primary=0),
