@@ -55,8 +55,8 @@ from repro.core.analysis import (
     render_shape_checks,
     severity_ranking,
 )
-from repro.flightstack import MissionOutcome, FlightParams
-from repro.redundancy import ImuBank, RedundancyConfig, Voter, VoterParams
+from repro.flightstack import MissionOutcome
+from repro.redundancy import ImuBank, RedundancyConfig, Voter
 
 __version__ = "1.0.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "ImuBank",
     "RedundancyConfig",
     "Voter",
-    "VoterParams",
     "CampaignConfig",
     "run_campaign",
     "run_experiment",
@@ -108,6 +107,5 @@ __all__ = [
     "render_shape_checks",
     "severity_ranking",
     "MissionOutcome",
-    "FlightParams",
     "__version__",
 ]

@@ -11,19 +11,16 @@ The cascade mirrors PX4's topology, which matters for fault propagation:
 """
 
 from repro.control.pid import Pid, PidParams
-from repro.control.position import PositionController, PositionControllerParams
-from repro.control.attitude import AttitudeController, AttitudeControllerParams
-from repro.control.rate import RateController, RateControllerParams
+from repro.control.position import PositionController
+from repro.control.attitude import AttitudeController
+from repro.control.rate import RateController
 from repro.control.mixer import Mixer
 
 __all__ = [
     "Pid",
     "PidParams",
     "PositionController",
-    "PositionControllerParams",
     "AttitudeController",
-    "AttitudeControllerParams",
     "RateController",
-    "RateControllerParams",
     "Mixer",
 ]

@@ -8,28 +8,23 @@ gain, yaw at reduced gain) and rate-setpoint limiting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.mathutils import quat_conjugate_into, quat_multiply_into, quat_normalize_into
 
 
-@dataclass
-class AttitudeControllerParams:
-    """Attitude P gains and rate envelope."""
-
-    attitude_p: float = 6.0
-    yaw_weight: float = 0.4
-    max_rate_rad_s: float = math.radians(120.0)
-    max_yaw_rate_rad_s: float = math.radians(45.0)
+#: Attitude P gain, the yaw share of it, and the rate envelope.
+ATTITUDE_P = 6.0
+YAW_WEIGHT = 0.4
+MAX_RATE_RAD_S = math.radians(120.0)
+MAX_YAW_RATE_RAD_S = math.radians(45.0)
 
 
 class AttitudeController:
     """Maps (q_estimate, q_setpoint) to a body-rate setpoint."""
 
-    def __init__(self, params: AttitudeControllerParams | None = None):
-        self.params = params or AttitudeControllerParams()
+    def __init__(self) -> None:
         # Hot-loop work buffers; `rate_setpoint` returns `_rate_sp`
         # without copying (valid until the next call).
         self._qc = np.zeros(4)
@@ -54,7 +49,6 @@ class AttitudeController:
         """
         if not 0.0 < confidence <= 1.0:
             raise ValueError(f"confidence must be in (0, 1], got {confidence}")
-        p = self.params
         q_err = self._qe
         quat_conjugate_into(q_estimate, self._qc)
         quat_multiply_into(self._qc, q_setpoint, q_err)
@@ -64,14 +58,14 @@ class AttitudeController:
             x, y, z = -x, -y, -z  # take the short way around
 
         # Small-angle: rotation vector ~ 2 * vector part.
-        gain = 2.0 * p.attitude_p * confidence
-        max_rate = p.max_rate_rad_s * confidence
-        max_yaw = p.max_yaw_rate_rad_s * confidence
+        gain = 2.0 * ATTITUDE_P * confidence
+        max_rate = MAX_RATE_RAD_S * confidence
+        max_yaw = MAX_YAW_RATE_RAD_S * confidence
         rate_sp = self._rate_sp
         rate_sp[:] = (
             _clamp(x * gain, max_rate),
             _clamp(y * gain, max_rate),
-            _clamp(z * gain * p.yaw_weight, max_yaw),
+            _clamp(z * gain * YAW_WEIGHT, max_yaw),
         )
         return rate_sp
 

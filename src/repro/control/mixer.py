@@ -3,19 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.mathutils import clip_float
 
 
-@dataclass
-class MixerGains:
-    """Authority of each normalised torque axis in command units."""
-
-    roll_pitch: float = 0.30
-    yaw: float = 0.25
+#: Authority of each normalised torque axis in command units.
+ROLL_PITCH_AUTHORITY = 0.30
+YAW_AUTHORITY = 0.25
 
 
 class Mixer:
@@ -39,8 +35,7 @@ class Mixer:
         ]
     )
 
-    def __init__(self, gains: MixerGains | None = None):
-        self.gains = gains or MixerGains()
+    def __init__(self) -> None:
         # Hot-loop work buffers; `mix` returns `_fractions` without
         # copying (valid until the next call).
         self._tq = np.zeros(3)
@@ -61,13 +56,12 @@ class Mixer:
         """
         # Float kernels around the one BLAS call (the signs gemv), each
         # repeating its elementwise numpy original bit for bit.
-        g = self.gains
         roll, pitch, yaw = torque_cmd.tolist()
         tq = self._tq
         tq[:] = (
-            clip_float(roll, -1.0, 1.0) * g.roll_pitch,
-            clip_float(pitch, -1.0, 1.0) * g.roll_pitch,
-            clip_float(yaw, -1.0, 1.0) * g.yaw,
+            clip_float(roll, -1.0, 1.0) * ROLL_PITCH_AUTHORITY,
+            clip_float(pitch, -1.0, 1.0) * ROLL_PITCH_AUTHORITY,
+            clip_float(yaw, -1.0, 1.0) * YAW_AUTHORITY,
         )
         torque_part = self._fractions
         self._SIGNS.dot(tq, out=torque_part)

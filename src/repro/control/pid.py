@@ -9,7 +9,7 @@ import numpy as np
 from repro.mathutils import clip_float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PidParams:
     """Gains and limits for a (possibly vector-valued) PID loop.
 

@@ -9,31 +9,23 @@ setpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.control.pid import Pid, PidParams
 from repro.mathutils import clamp, quat_from_rotation_matrix_into
+from repro.sim.environment import GRAVITY_M_S2
 
 
-@dataclass
-class PositionControllerParams:
-    """Gains and envelope limits for the outer loops."""
-
-    pos_p: float = 0.95
-    vel_pid: PidParams = field(
-        default_factory=lambda: PidParams(
-            kp=2.8, ki=0.6, kd=0.15, output_limit=8.0, integral_limit=2.0
-        )
-    )
-    max_speed_xy_m_s: float = 12.0
-    max_speed_up_m_s: float = 3.0
-    max_speed_down_m_s: float = 2.0
-    max_tilt_rad: float = math.radians(35.0)
-    hover_thrust: float = 0.5
-    max_thrust: float = 0.95
-    min_thrust: float = 0.08
+#: Gains and envelope limits of the outer loops; the horizontal speed
+#: limit comes from the mission's drone.
+POS_P = 0.95
+VEL_PID = PidParams(kp=2.8, ki=0.6, kd=0.15, output_limit=8.0, integral_limit=2.0)
+MAX_SPEED_UP_M_S = 3.0
+MAX_SPEED_DOWN_M_S = 2.0
+MAX_TILT_RAD = math.radians(35.0)
+MAX_THRUST = 0.95
+MIN_THRUST = 0.08
 
 
 class PositionController:
@@ -41,20 +33,18 @@ class PositionController:
 
     def __init__(
         self,
-        params: PositionControllerParams | None = None,
         mass_kg: float = 1.5,
         max_total_thrust_n: float = 32.0,
-        gravity_m_s2: float = 9.80665,
+        max_speed_xy_m_s: float = 12.0,
     ):
-        self.params = params or PositionControllerParams()
         if max_total_thrust_n <= 0.0:
             raise ValueError(
                 f"max_total_thrust_n must be positive, got {max_total_thrust_n}"
             )
         self.mass_kg = mass_kg
         self.max_total_thrust_n = max_total_thrust_n
-        self.gravity = gravity_m_s2
-        self._vel_pid = Pid(self.params.vel_pid, dim=3)
+        self.max_speed_xy_m_s = max_speed_xy_m_s
+        self._vel_pid = Pid(VEL_PID, dim=3)
         # Hot-loop work buffers; the setpoint methods return these
         # without copying, and they stay valid until the next call.
         self._vel_sp = np.zeros(3)
@@ -76,15 +66,14 @@ class PositionController:
         cruise_speed_m_s: float | None = None,
     ) -> np.ndarray:
         """P position loop with per-axis envelope limits."""
-        p = self.params
         vel_sp = self._vel_sp
         np.subtract(position_sp_ned, position_ned, out=vel_sp)
-        np.multiply(vel_sp, p.pos_p, out=vel_sp)
+        np.multiply(vel_sp, POS_P, out=vel_sp)
         if feedforward_ned is not None:
             vel_sp += feedforward_ned
-        max_xy = cruise_speed_m_s if cruise_speed_m_s is not None else p.max_speed_xy_m_s
+        max_xy = cruise_speed_m_s if cruise_speed_m_s is not None else self.max_speed_xy_m_s
         _clamp_norm_inplace(vel_sp[:2], max_xy)
-        vel_sp[2] = clamp(float(vel_sp[2]), -p.max_speed_up_m_s, p.max_speed_down_m_s)
+        vel_sp[2] = clamp(float(vel_sp[2]), -MAX_SPEED_UP_M_S, MAX_SPEED_DOWN_M_S)
         return vel_sp
 
     def acceleration_setpoint(
@@ -105,20 +94,19 @@ class PositionController:
         The desired specific-thrust vector is ``a_sp - g`` (NED); its
         direction gives the body -z axis, its magnitude the collective.
         Tilt is limited by rotating the thrust direction back toward
-        vertical when it exceeds ``max_tilt_rad``.
+        vertical when it exceeds :data:`MAX_TILT_RAD`.
         """
-        p = self.params
         # Float kernel: each line repeats its elementwise numpy original;
         # every norm stays the array dot (DESIGN.md §11).
         # Desired thrust (sans mass) pointing "up" along -z for hover.
         # (`x - 0.0 == x` bit-for-bit, so only the z component subtracts.)
         tx, ty, tz = accel_sp_ned.tolist()
-        tz = tz - self.gravity
+        tz = tz - GRAVITY_M_S2
 
         # A multirotor cannot push downward: even a maximal descent
         # demand keeps some upward thrust (PX4's minimum thrust-z), which
         # also guarantees the attitude setpoint is never inverted.
-        min_up = 0.2 * self.gravity
+        min_up = 0.2 * GRAVITY_M_S2
         if tz > -min_up:
             tz = -min_up
         thrust_vec = self._thrust_vec
@@ -129,17 +117,17 @@ class PositionController:
         # BLAS dot), minus the linalg wrapper cost.
         norm = math.sqrt(float(thrust_vec.dot(thrust_vec)))
         if norm < 1e-6:
-            tx, ty, tz = 0.0, 0.0, -self.gravity
+            tx, ty, tz = 0.0, 0.0, -GRAVITY_M_S2
             thrust_vec[:] = (tx, ty, tz)
-            norm = self.gravity
+            norm = GRAVITY_M_S2
         cos_tilt = -tz / norm
         tilt = math.acos(clamp(cos_tilt, -1.0, 1.0))
-        if tilt > p.max_tilt_rad:
+        if tilt > MAX_TILT_RAD:
             # Keep the vertical component, shrink the horizontal one.
             vertical = -tz
             if vertical < 1e-6:
-                vertical = self.gravity * 0.5
-            max_horizontal = vertical * math.tan(p.max_tilt_rad)
+                vertical = GRAVITY_M_S2 * 0.5
+            max_horizontal = vertical * math.tan(MAX_TILT_RAD)
             _clamp_norm_inplace(thrust_vec[:2], max_horizontal)
             norm = math.sqrt(float(thrust_vec.dot(thrust_vec)))
             tx, ty, tz = thrust_vec.tolist()
@@ -177,7 +165,7 @@ class PositionController:
         q_sp = quat_from_rotation_matrix_into(rot_sp, self._q_sp)
 
         collective = clamp(
-            self.mass_kg * norm / self.max_total_thrust_n, p.min_thrust, p.max_thrust
+            self.mass_kg * norm / self.max_total_thrust_n, MIN_THRUST, MAX_THRUST
         )
         return collective, q_sp
 

@@ -8,36 +8,22 @@ gyro fault injections destabilise the vehicle in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.control.pid import Pid, PidParams
 
 
-@dataclass
-class RateControllerParams:
-    """Per-axis rate-loop gains (roll/pitch share gains; yaw separate)."""
-
-    roll_pitch: PidParams = field(
-        default_factory=lambda: PidParams(
-            kp=0.16, ki=0.2, kd=0.004, output_limit=1.0, integral_limit=0.3
-        )
-    )
-    yaw: PidParams = field(
-        default_factory=lambda: PidParams(
-            kp=0.18, ki=0.1, kd=0.0, output_limit=0.4, integral_limit=0.2
-        )
-    )
+#: Per-axis rate-loop gains: roll and pitch share one set, yaw has its own.
+ROLL_PITCH_PID = PidParams(kp=0.16, ki=0.2, kd=0.004, output_limit=1.0, integral_limit=0.3)
+YAW_PID = PidParams(kp=0.18, ki=0.1, kd=0.0, output_limit=0.4, integral_limit=0.2)
 
 
 class RateController:
     """PID on body rates producing normalised torque commands in [-1, 1]."""
 
-    def __init__(self, params: RateControllerParams | None = None):
-        self.params = params or RateControllerParams()
-        self._rp_pid = Pid(self.params.roll_pitch, dim=2)
-        self._yaw_pid = Pid(self.params.yaw, dim=1)
+    def __init__(self) -> None:
+        self._rp_pid = Pid(ROLL_PITCH_PID, dim=2)
+        self._yaw_pid = Pid(YAW_PID, dim=1)
         # `torque_command` returns `_torque` without copying (valid until
         # the next call).
         self._torque = np.zeros(3)

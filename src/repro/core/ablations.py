@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.faults import FaultSpec, FaultTarget, FaultType
-from repro.estimation import EkfParams
-from repro.flightstack import FlightParams, MissionOutcome
+from repro.flightstack import MissionOutcome
 from repro.missions.valencia import valencia_missions
 from repro.system import SystemConfig, UavSystem
 
@@ -91,8 +90,7 @@ def isolation_time_sweep(
     faults = _gyro_fault_slice(injection_time_s)
     for isolation in isolation_times_s:
         def factory(isolation: float = isolation) -> SystemConfig:
-            params = FlightParams(fs_isolation_time_s=isolation)
-            return SystemConfig(flight_params=params)
+            return SystemConfig(fs_isolation_time_s=isolation)
 
         n, comp, crash, fs, inner, outer = _run_slice(faults, mission_ids, scale, factory)
         points.append(
@@ -114,10 +112,7 @@ def gyro_threshold_sweep(
     faults = _gyro_fault_slice(injection_time_s)
     for threshold in thresholds_deg_s:
         def factory(threshold: float = threshold) -> SystemConfig:
-            params = FlightParams(
-                fd_gyro_rate_threshold_rad_s=math.radians(threshold)
-            )
-            return SystemConfig(flight_params=params)
+            return SystemConfig(fd_gyro_rate_threshold_rad_s=math.radians(threshold))
 
         n, comp, crash, fs, inner, outer = _run_slice(faults, mission_ids, scale, factory)
         points.append(
@@ -140,11 +135,11 @@ def fusion_reset_ablation(
     points = []
     for enabled in (True, False):
         def factory(enabled: bool = enabled) -> SystemConfig:
-            return SystemConfig(ekf_params=EkfParams(enable_fusion_reset=enabled))
+            return SystemConfig(fusion_reset=enabled)
 
         n, comp, crash, fs, inner, outer = _run_slice(faults, mission_ids, scale, factory)
         points.append(
-            AblationPoint("enable_fusion_reset", enabled, n, comp, crash, fs, inner, outer)
+            AblationPoint("fusion_reset", enabled, n, comp, crash, fs, inner, outer)
         )
     return points
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.campaign import CampaignConfig
 from repro.core.faults import FaultSpec, FaultTarget, FaultType
 from repro.flightstack.commander import MissionOutcome
 from repro.missions.plan import route_polyline
@@ -94,7 +95,7 @@ def run_figure_scenario(
     plans = {p.mission_id: p for p in valencia_missions(scale=scale)}
     plan = plans[scenario.mission_id]
     if injection_time_s is None:
-        injection_time_s = max(20.0, 90.0 * scale)
+        injection_time_s = CampaignConfig(scale=scale).effective_injection_time_s
     fault = FaultSpec(
         fault_type=scenario.fault_type,
         target=scenario.target,

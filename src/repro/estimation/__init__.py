@@ -8,7 +8,7 @@ violations), while corrupted gyroscope samples destroy attitude
 knowledge and destabilise the vehicle (crash / failsafe).
 """
 
-from repro.estimation.ekf import Ekf, EkfParams, EkfState
+from repro.estimation.ekf import Ekf
 from repro.estimation.health import EstimatorHealth, InnovationMonitor
 
-__all__ = ["Ekf", "EkfParams", "EkfState", "EstimatorHealth", "InnovationMonitor"]
+__all__ = ["Ekf", "EstimatorHealth", "InnovationMonitor"]

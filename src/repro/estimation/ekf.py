@@ -18,7 +18,6 @@ failsafe engine watches — mirroring PX4's EKF health flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +27,13 @@ from repro.mathutils import (
     quat_integrate_into,
     quat_multiply_into,
     quat_normalize_into,
-    quat_rotate,
     quat_to_euler,
     quat_to_rotation_matrix_into,
     wrap_angle,
 )
 from repro.sensors.imu import ImuSample
 from repro.sensors.gps import GpsSample
+from repro.sim.environment import GRAVITY_M_S2
 from repro.estimation.health import InnovationMonitor
 
 # Error-state block indices.
@@ -44,55 +43,27 @@ _P = slice(6, 9)
 _BG = slice(9, 12)
 _BA = slice(12, 15)
 
+# Process noise densities and the bias random walks.
+GYRO_NOISE = 0.03
+ACCEL_NOISE = 0.2
+GYRO_BIAS_WALK = 5e-4
+ACCEL_BIAS_WALK = 3e-3
+#: Bounds of the bias estimates.
+GYRO_BIAS_LIMIT = 0.4
+ACCEL_BIAS_LIMIT = 1.0
+#: Innovation gates as sigma multiples: an innovation whose normalised
+#: squared magnitude exceeds ``gate**2`` is rejected and counted by the
+#: health monitor.
+GPS_POS_GATE = 5.0
+GPS_VEL_GATE = 5.0
+BARO_GATE = 5.0
+MAG_GATE = 4.0
+#: Measurement noise of the baro and mag aiding.
+BARO_NOISE_M = 0.3
+MAG_NOISE_RAD = 0.05
 
-@dataclass
-class EkfParams:
-    """Noise densities, bias limits, and innovation gates.
-
-    The gates are expressed as sigma multiples; an innovation whose
-    normalised squared magnitude exceeds ``gate**2`` is rejected and
-    counted by the health monitor.
-    """
-
-    gyro_noise: float = 0.03
-    accel_noise: float = 0.2
-    gyro_bias_walk: float = 5e-4
-    accel_bias_walk: float = 3e-3
-    gyro_bias_limit: float = 0.4
-    accel_bias_limit: float = 1.0
-    gps_pos_gate: float = 5.0
-    gps_vel_gate: float = 5.0
-    baro_gate: float = 5.0
-    mag_gate: float = 4.0
-    baro_noise_m: float = 0.3
-    mag_noise_rad: float = 0.05
-    #: Ablation switch: disable the PX4-style fusion-timeout hard reset
-    #: (the mechanism that lets the filter recover after divergence).
-    enable_fusion_reset: bool = True
-
-
-@dataclass(slots=True)
-class EkfState:
-    """Nominal state snapshot (arrays are views; copy before storing)."""
-
-    quaternion: np.ndarray
-    velocity_ned: np.ndarray
-    position_ned: np.ndarray
-    gyro_bias: np.ndarray
-    accel_bias: np.ndarray
-
-    @property
-    def yaw_rad(self) -> float:
-        return quat_to_euler(self.quaternion)[2]
-
-    def copy(self) -> "EkfState":
-        return EkfState(
-            self.quaternion.copy(),
-            self.velocity_ned.copy(),
-            self.position_ned.copy(),
-            self.gyro_bias.copy(),
-            self.accel_bias.copy(),
-        )
+#: Gravity in NED (down positive).
+_GRAVITY_NED = (0.0, 0.0, GRAVITY_M_S2)
 
 
 class Ekf:
@@ -105,13 +76,13 @@ class Ekf:
 
     def __init__(
         self,
-        params: EkfParams | None = None,
-        gravity_m_s2: float = 9.80665,
         initial_position_ned: np.ndarray | None = None,
         initial_yaw_rad: float = 0.0,
+        fusion_reset: bool = True,
     ):
-        self.params = params or EkfParams()
-        self._gravity_ned = np.array([0.0, 0.0, gravity_m_s2])
+        #: Whether the PX4-style fusion-timeout hard reset (the mechanism
+        #: that lets the filter recover after divergence) is on.
+        self.fusion_reset = fusion_reset
         self.quaternion = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), initial_yaw_rad)
         self.velocity_ned = np.zeros(3)
         self.position_ned = (
@@ -202,7 +173,6 @@ class Ekf:
         # Python-float kernel around four BLAS calls (the accel gemv, the
         # skew gemm, and the two covariance gemms): every elementwise
         # step repeats its numpy original's operation order.
-        p = self.params
         g0, g1, g2 = imu.gyro.tolist()
         a0, a1, a2 = imu.accel.tolist()
         bg0, bg1, bg2 = self.gyro_bias.tolist()
@@ -233,7 +203,7 @@ class Ekf:
         self._lg1 = g1
         self._lg2 = g2
         self._have_lg = True
-        gyro_noise = p.gyro_noise if self._gyro_flatline_count < 20 else 0.8
+        gyro_noise = GYRO_NOISE if self._gyro_flatline_count < 20 else 0.8
 
         if self._have_la and a0 == self._la0 and a1 == self._la1 and a2 == self._la2:
             self._accel_flatline_count += 1
@@ -250,7 +220,7 @@ class Ekf:
         quat_to_rotation_matrix_into(self.quaternion, rot)
         rot.dot(accel, out=self._accel_world)
         aw0, aw1, aw2 = self._accel_world.tolist()
-        gr0, gr1, gr2 = self._gravity_ned.tolist()
+        gr0, gr1, gr2 = _GRAVITY_NED
         aw0 = aw0 + gr0
         aw1 = aw1 + gr1
         aw2 = aw2 + gr2
@@ -308,9 +278,9 @@ class Ekf:
         self._cov_tmp.dot(phi.T, out=cov)
         # Process noise on the attitude, velocity and bias diagonals.
         q_th = (gyro_noise**2) * dt
-        q_v = (p.accel_noise**2) * dt
-        q_bg = (p.gyro_bias_walk**2) * dt
-        q_ba = (p.accel_bias_walk**2) * dt
+        q_v = (ACCEL_NOISE**2) * dt
+        q_bg = (GYRO_BIAS_WALK**2) * dt
+        q_ba = (ACCEL_BIAS_WALK**2) * dt
         for i in range(3):
             cov[i, i] += q_th
             cov[3 + i, 3 + i] += q_v
@@ -344,30 +314,27 @@ class Ekf:
         PX4's fusion-timeout behaviour, and the mechanism that lets
         vehicles recover once a short injection ends.
         """
-        if self.params.enable_fusion_reset:
+        if self.fusion_reset:
             if self.monitor.group_max_consecutive("gps_vel") >= self.RESET_REJECTION_COUNT:
                 self._reset_block(_V, fix.velocity_ned, 1.0, "gps_vel")
             if self.monitor.group_max_consecutive("gps_pos") >= self.RESET_REJECTION_COUNT:
                 self._reset_block(_P, fix.position_ned, 4.0, "gps_pos")
 
-        p = self.params
         pos_var = self._pos_var
         pos_var[0] = fix.horizontal_accuracy_m**2
         pos_var[1] = fix.horizontal_accuracy_m**2
         pos_var[2] = fix.vertical_accuracy_m**2
         innov = self._innov3
         np.subtract(fix.position_ned, self.position_ned, out=innov)
-        self._vector_update(innov, _P, pos_var, p.gps_pos_gate, "gps_pos")
+        self._vector_update(innov, _P, pos_var, GPS_POS_GATE, "gps_pos")
 
         np.subtract(fix.velocity_ned, self.velocity_ned, out=innov)
-        self._vector_update(innov, _V, self._vel_var, p.gps_vel_gate, "gps_vel")
+        self._vector_update(innov, _V, self._vel_var, GPS_VEL_GATE, "gps_vel")
 
     def update_baro(self, altitude_m: float) -> None:
         """Apply barometric height aiding (altitude positive up)."""
         innov = altitude_m - (-self.position_ned[2])
-        self._scalar_update(
-            innov, self._h_baro, self.params.baro_noise_m**2, self.params.baro_gate, "baro"
-        )
+        self._scalar_update(innov, self._h_baro, BARO_NOISE_M**2, BARO_GATE, "baro")
 
     def update_mag_yaw(self, yaw_meas_rad: float) -> None:
         """Apply magnetometer yaw aiding."""
@@ -378,7 +345,7 @@ class Ekf:
         # Small body-frame attitude errors map to world-frame errors via R;
         # yaw error is the world-z component. Entries outside [0:3] stay 0.
         h[_TH] = rot[2, :]
-        self._scalar_update(innov, h, self.params.mag_noise_rad**2, self.params.mag_gate, "mag")
+        self._scalar_update(innov, h, MAG_NOISE_RAD**2, MAG_GATE, "mag")
 
     #: Gain (1/s) of the complementary gravity-tilt correction.
     GRAVITY_AIDING_GAIN = 3.0
@@ -398,7 +365,7 @@ class Ekf:
         it is needed. During violent motion or accelerometer faults the
         quasi-static check keeps it out of the loop.
         """
-        g = self._gravity_ned[2]
+        g = GRAVITY_M_S2
         # math.sqrt(float(v.dot(v))) == np.linalg.norm(v) bit-for-bit (same
         # BLAS dot) without the linalg wrapper cost; used on every hot
         # norm in the loop.
@@ -529,7 +496,6 @@ class Ekf:
 
     def _inject_error(self, dx: np.ndarray) -> None:
         """Fold an error-state correction into the nominal state."""
-        p = self.params
         th = dx[_TH]
         quat_from_axis_angle_into(th, math.sqrt(float(th.dot(th))), self._dq4)
         quat_multiply_into(self.quaternion, self._dq4, self.quaternion)
@@ -537,11 +503,11 @@ class Ekf:
         self.velocity_ned += dx[_V]
         self.position_ned += dx[_P]
         np.add(self.gyro_bias, dx[_BG], out=self._bias_tmp)
-        np.maximum(self._bias_tmp, -p.gyro_bias_limit, out=self.gyro_bias)
-        np.minimum(self.gyro_bias, p.gyro_bias_limit, out=self.gyro_bias)
+        np.maximum(self._bias_tmp, -GYRO_BIAS_LIMIT, out=self.gyro_bias)
+        np.minimum(self.gyro_bias, GYRO_BIAS_LIMIT, out=self.gyro_bias)
         np.add(self.accel_bias, dx[_BA], out=self._bias_tmp)
-        np.maximum(self._bias_tmp, -p.accel_bias_limit, out=self.accel_bias)
-        np.minimum(self.accel_bias, p.accel_bias_limit, out=self.accel_bias)
+        np.maximum(self._bias_tmp, -ACCEL_BIAS_LIMIT, out=self.accel_bias)
+        np.minimum(self.accel_bias, ACCEL_BIAS_LIMIT, out=self.accel_bias)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -553,35 +519,16 @@ class Ekf:
         cov = self.covariance
         return float(np.sqrt(max(cov.item(0, 0), cov.item(1, 1))))
 
-    @property
-    def attitude_confidence(self) -> float:
-        """Confidence factor in (0, 1] for gain scheduling.
-
-        1.0 while the attitude is known to better than ~3 degrees,
-        decaying toward a floor as the uncertainty grows (gyro flatline,
-        violent fault transients).
-        """
-        return self.confidence_from_std(self.attitude_std_rad)
-
     @staticmethod
     def confidence_from_std(sigma: float) -> float:
-        """:attr:`attitude_confidence` for a given :attr:`attitude_std_rad`."""
+        """Gain-scheduling confidence in (0, 1] for an attitude sigma.
+
+        1.0 while the attitude is known to better than ~3 degrees
+        (``sigma`` is :attr:`attitude_std_rad`), decaying toward a floor
+        as the uncertainty grows (gyro flatline, violent fault
+        transients).
+        """
         reference = 0.06
         if sigma <= reference:
             return 1.0
         return max(0.12, reference / sigma)
-
-    @property
-    def state(self) -> EkfState:
-        """Current nominal state (live views; copy before storing)."""
-        return EkfState(
-            self.quaternion,
-            self.velocity_ned,
-            self.position_ned,
-            self.gyro_bias,
-            self.accel_bias,
-        )
-
-    def rotate_body_to_world(self, v: np.ndarray) -> np.ndarray:
-        """Rotate a body-frame vector into the world frame with q_hat."""
-        return quat_rotate(self.quaternion, v)

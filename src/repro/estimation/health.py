@@ -26,34 +26,29 @@ from dataclasses import dataclass, field
 class ChannelHealth:
     """Rolling statistics for one innovation channel."""
 
-    #: Share of the rolling window that must be populated before the
-    #: channel may report ``failed`` (15/25 with the default window).
-    FAILED_MIN_FILL = 0.6
+    #: Length of the rolling accept/reject window.
+    WINDOW_SIZE = 25
+    #: Populated share of the window before the channel may report
+    #: ``failed``: 15 of the 25 entries.
+    FAILED_MIN_FILL = 15
 
-    window_size: int = 25
     last_test_ratio: float = 0.0
     peak_test_ratio: float = 0.0
     consecutive_rejections: int = 0
     total_rejections: int = 0
     total_updates: int = 0
-    recent: deque[bool] = field(default_factory=deque)
-
-    def __post_init__(self) -> None:
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        # Re-bound whatever deque we were given so window_size is the
-        # single source of truth (a plain default deque is unbounded).
-        self.recent = deque(self.recent, maxlen=self.window_size)
-        # Incrementally maintained accept count: `failed` is polled every
-        # tick per channel, so summing the window there is O(n) wasted.
-        self._accepted = sum(self.recent)
-        self._min_fill = max(1, round(self.FAILED_MIN_FILL * self.window_size))
+    recent: deque[bool] = field(
+        default_factory=lambda: deque(maxlen=ChannelHealth.WINDOW_SIZE)
+    )
+    # Incrementally maintained accept count: `failed` is polled every
+    # tick per channel, so summing the window there is O(n) wasted.
+    _accepted: int = field(default=0, init=False, repr=False)
 
     def record(self, test_ratio: float, accepted: bool) -> None:
         self.last_test_ratio = test_ratio
         self.peak_test_ratio = max(self.peak_test_ratio, test_ratio)
         self.total_updates += 1
-        if len(self.recent) == self.window_size:
+        if len(self.recent) == self.WINDOW_SIZE:
             self._accepted -= self.recent[0]  # evicted by the append below
         self.recent.append(accepted)
         self._accepted += accepted
@@ -73,7 +68,7 @@ class ChannelHealth:
     @property
     def failed(self) -> bool:
         """Sustained, near-total rejection in the rolling window."""
-        return len(self.recent) >= self._min_fill and self.rejection_fraction >= 0.8
+        return len(self.recent) >= self.FAILED_MIN_FILL and self.rejection_fraction >= 0.8
 
     def reset_window(self) -> None:
         """Forget the rolling history (e.g. after a sensor switchover)."""

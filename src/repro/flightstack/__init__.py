@@ -8,7 +8,6 @@ PX4 behaviour the paper measures: sensor-fault detection thresholds
 minimum of 1900 ms, and an emergency-land failsafe action.
 """
 
-from repro.flightstack.params import FlightParams
 from repro.flightstack.commander import Commander, FlightPhase, MissionOutcome
 from repro.flightstack.navigator import Navigator, NavigatorOutput
 from repro.flightstack.failsafe import (
@@ -20,7 +19,6 @@ from repro.flightstack.failsafe import (
 from repro.flightstack.crash import CrashDetector
 
 __all__ = [
-    "FlightParams",
     "Commander",
     "FlightPhase",
     "MissionOutcome",

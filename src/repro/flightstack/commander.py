@@ -9,9 +9,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.flightstack.navigator import Navigator
-from repro.flightstack.params import FlightParams
 from repro.missions.plan import MissionPlan
 from repro.obs.trace import NULL_SINK, EventSink
+
+# Takeoff / landing envelope.
+TAKEOFF_SPEED_M_S = 2.0
+LANDING_SPEED_M_S = 1.0
+TAKEOFF_ACCEPT_M = 0.6
+DISARM_GROUND_TIME_S = 1.5
+#: Failsafe descent rate once engaged (emergency land).
+FS_DESCENT_SPEED_M_S = 1.2
+#: Mission supervision: the mission times out after this factor of its
+#: estimated duration, and never before the minimum.
+MISSION_TIMEOUT_FACTOR = 2.0
+MISSION_TIMEOUT_MIN_S = 120.0
 
 
 class FlightPhase(enum.Enum):
@@ -56,9 +67,8 @@ class CommanderOutput:
 class Commander:
     """Supervises one mission from arming to a terminal verdict."""
 
-    def __init__(self, plan: MissionPlan, params: FlightParams | None = None):
+    def __init__(self, plan: MissionPlan):
         self.plan = plan
-        self.params = params or FlightParams()
         self.navigator = Navigator(plan)
         #: Trace sink for phase spans; a no-op unless an observer is on.
         self.obs: EventSink = NULL_SINK
@@ -75,19 +85,18 @@ class Commander:
         second = plan.waypoints[1].array
         self._yaw_hold = math.atan2(second[1] - first[1], second[0] - first[0])
         self._timeout_s = max(
-            self.params.mission_timeout_min_s,
-            plan.estimated_duration_s() * self.params.mission_timeout_factor,
+            MISSION_TIMEOUT_MIN_S, plan.estimated_duration_s() * MISSION_TIMEOUT_FACTOR
         )
         # Phase targets are mission constants; build them once instead of
         # reallocating every cycle. Outputs are shared read-only arrays.
         home = plan.home_ned
         self._takeoff_target = np.array([home[0], home[1], -plan.cruise_altitude_m])
-        self._takeoff_ff = np.array([0.0, 0.0, -self.params.takeoff_speed_m_s])
+        self._takeoff_ff = np.array([0.0, 0.0, -TAKEOFF_SPEED_M_S])
         land = plan.landing_ned
         self._landing_target = np.array([land[0], land[1], 0.5])
-        self._landing_ff = np.array([0.0, 0.0, self.params.landing_speed_m_s])
+        self._landing_ff = np.array([0.0, 0.0, LANDING_SPEED_M_S])
         self._failsafe_target: np.ndarray | None = None
-        self._fs_ff = np.array([0.0, 0.0, self.params.fs_descent_speed_m_s])
+        self._fs_ff = np.array([0.0, 0.0, FS_DESCENT_SPEED_M_S])
         self._idle_pos = np.zeros(3)
         self._zero3 = np.zeros(3)
         self._handlers = {
@@ -186,7 +195,7 @@ class Commander:
         self, time_s: float, position: np.ndarray, on_ground: bool
     ) -> CommanderOutput:
         target = self._takeoff_target
-        if abs(position[2] - target[2]) < self.params.takeoff_accept_m:
+        if abs(position[2] - target[2]) < TAKEOFF_ACCEPT_M:
             self.phase = FlightPhase.MISSION
             self.obs.phase(time_s, FlightPhase.MISSION.value)
             return self._run_mission(time_s, position, on_ground)
@@ -253,7 +262,7 @@ class Commander:
             return False
         if self._ground_since is None:
             self._ground_since = time_s
-        return time_s - self._ground_since >= self.params.disarm_ground_time_s
+        return time_s - self._ground_since >= DISARM_GROUND_TIME_S
 
     def _idle_output(self, position: np.ndarray) -> CommanderOutput:
         np.copyto(self._idle_pos, position)

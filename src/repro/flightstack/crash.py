@@ -14,6 +14,13 @@ from dataclasses import dataclass
 
 from repro.sim.dynamics import GroundContact
 
+#: Touchdown envelope. A landing is a crash above the landing speed or
+#: tilt; any other ground contact is a crash above the touch speed or
+#: the same tilt.
+MAX_LANDING_SPEED_M_S = 2.2
+MAX_LANDING_TILT_RAD = math.radians(25.0)
+MAX_TOUCH_SPEED_OFF_LANDING_M_S = 0.8
+
 
 @dataclass
 class CrashReport:
@@ -28,15 +35,7 @@ class CrashReport:
 class CrashDetector:
     """Turns ground-contact events into crash verdicts."""
 
-    def __init__(
-        self,
-        max_landing_speed_m_s: float = 2.2,
-        max_landing_tilt_rad: float = math.radians(25.0),
-        max_touch_speed_off_landing_m_s: float = 0.8,
-    ):
-        self.max_landing_speed_m_s = max_landing_speed_m_s
-        self.max_landing_tilt_rad = max_landing_tilt_rad
-        self.max_touch_speed_off_landing_m_s = max_touch_speed_off_landing_m_s
+    def __init__(self) -> None:
         self.report: CrashReport | None = None
         self._last_seen_contact_time: float | None = None
 
@@ -64,14 +63,14 @@ class CrashDetector:
         total = contact.impact_speed_m_s
 
         if landing_expected:
-            if impact > self.max_landing_speed_m_s:
+            if impact > MAX_LANDING_SPEED_M_S:
                 self._record(contact, tilt_deg, "hard landing impact")
-            elif contact.tilt_rad > self.max_landing_tilt_rad:
+            elif contact.tilt_rad > MAX_LANDING_TILT_RAD:
                 self._record(contact, tilt_deg, "tipped over on touchdown")
         else:
-            if total > self.max_touch_speed_off_landing_m_s:
+            if total > MAX_TOUCH_SPEED_OFF_LANDING_M_S:
                 self._record(contact, tilt_deg, "uncontrolled ground impact")
-            elif contact.tilt_rad > self.max_landing_tilt_rad:
+            elif contact.tilt_rad > MAX_LANDING_TILT_RAD:
                 self._record(contact, tilt_deg, "ground strike at extreme attitude")
 
     def _record(self, contact: GroundContact, tilt_deg: float, reason: str) -> None:

@@ -28,8 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.estimation.health import EstimatorHealth
-from repro.flightstack.params import FlightParams
+from repro.flightstack.params import FD_GYRO_RATE_THRESHOLD_RAD_S, FS_ISOLATION_TIME_S
 from repro.obs.trace import NULL_SINK, EventSink
+
+#: Attitude failure detection on the estimated tilt (PX4 ``FD_FAIL_*``).
+FD_TILT_THRESHOLD_RAD = math.radians(70.0)
+#: How long a detection condition must hold before isolation starts.
+FD_TRIGGER_TIME_S = 0.50
 
 
 class FailsafeState(enum.Enum):
@@ -76,8 +81,13 @@ class FailsafeStatus:
 class FailsafeEngine:
     """Monitors sensor/estimator health and engages the failsafe."""
 
-    def __init__(self, params: FlightParams):
-        self.params = params
+    def __init__(
+        self,
+        fd_gyro_rate_threshold_rad_s: float = FD_GYRO_RATE_THRESHOLD_RAD_S,
+        fs_isolation_time_s: float = FS_ISOLATION_TIME_S,
+    ):
+        self.fd_gyro_rate_threshold_rad_s = fd_gyro_rate_threshold_rad_s
+        self.fs_isolation_time_s = fs_isolation_time_s
         #: Trace sink for state transitions; a no-op without an observer.
         self.obs: EventSink = NULL_SINK
         self.state = FailsafeState.NOMINAL
@@ -143,7 +153,7 @@ class FailsafeEngine:
                 if self._condition_active_since is None:
                     self._condition_active_since = time_s
                     self.trigger = trigger
-                elif time_s - self._condition_active_since >= self.params.fd_trigger_time_s:
+                elif time_s - self._condition_active_since >= FD_TRIGGER_TIME_S:
                     # Debounced: start the redundant-sensor isolation stage.
                     self.state = FailsafeState.ISOLATING
                     self._isolation_started_at = time_s
@@ -182,7 +192,7 @@ class FailsafeEngine:
 
         assert self._isolation_started_at is not None
         elapsed = time_s - self._isolation_started_at
-        if elapsed >= self.params.fs_isolation_time_s and trigger != FailsafeTrigger.NONE:
+        if elapsed >= self.fs_isolation_time_s and trigger != FailsafeTrigger.NONE:
             self.state = FailsafeState.ENGAGED
             self.engaged_time_s = time_s
             self.isolation_succeeded = False
@@ -200,11 +210,10 @@ class FailsafeEngine:
         estimator_health: EstimatorHealth,
     ) -> FailsafeTrigger:
         """Evaluate the instantaneous failure-detection conditions."""
-        p = self.params
         rate_norm = math.sqrt(float(gyro_rate_rad_s.dot(gyro_rate_rad_s)))
-        if rate_norm > p.fd_gyro_rate_threshold_rad_s:
+        if rate_norm > self.fd_gyro_rate_threshold_rad_s:
             return FailsafeTrigger.GYRO_RATE
-        if estimated_tilt_rad > p.fd_tilt_threshold_rad:
+        if estimated_tilt_rad > FD_TILT_THRESHOLD_RAD:
             return FailsafeTrigger.ATTITUDE
         if estimator_health.degraded:
             return FailsafeTrigger.EKF_HEALTH

@@ -9,6 +9,10 @@ import numpy as np
 
 from repro.missions.plan import MissionPlan
 
+#: How far ahead of the vehicle's projection the carrot rides, in
+#: seconds of cruise.
+LOOKAHEAD_S = 1.2
+
 
 @dataclass(slots=True)
 class NavigatorOutput:
@@ -30,9 +34,8 @@ class Navigator:
     never leave the inner bubble, which the paper's baseline requires.
     """
 
-    def __init__(self, plan: MissionPlan, lookahead_s: float = 1.2):
+    def __init__(self, plan: MissionPlan):
         self.plan = plan
-        self.lookahead_s = lookahead_s
         self._index = 0  # active target waypoint
         first = plan.waypoints[0].array
         second = plan.waypoints[1].array
@@ -121,7 +124,7 @@ class Navigator:
             np.divide(leg, leg_len, out=direction)
             np.subtract(position_ned, prev, out=self._rel)
             along = float(self._rel.dot(direction))
-            lookahead = max(2.0, speed * self.lookahead_s)
+            lookahead = max(2.0, speed * LOOKAHEAD_S)
             carrot_dist = min(leg_len, along + lookahead)
             carrot = self._carrot
             np.multiply(direction, max(0.0, carrot_dist), out=carrot)

@@ -1,66 +1,22 @@
-"""Flight-stack parameters, in the spirit of the PX4 parameter system.
+"""The two PX4 failure-detection defaults the paper cites.
 
 The paper keeps PX4's defaults ("we have maintained default settings for
-simplicity"); the defaults here mirror the ones it cites: a 60 deg/s
-gyro failure-detection threshold and a minimum 1900 ms sensor-isolation
-time before the failsafe engages. Every field can be overridden per run,
-and :meth:`FlightParams.get`/``set`` accept PX4-style parameter names
-for script compatibility.
+simplicity"), and so does this vehicle: every flight-stack value is a
+constant of the module that reads it. These two are the ones the
+ablation studies vary, so they are also the defaults of
+:class:`repro.system.SystemConfig`, the vehicle's one knob surface: a
+60 deg/s gyro failure-detection threshold and a minimum 1900 ms
+sensor-isolation time before the failsafe engages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
+#: PX4 ``FD_*``-style gyro-rate failure-detection threshold.
+FD_GYRO_RATE_THRESHOLD_RAD_S = math.radians(60.0)
 
-@dataclass
-class FlightParams:
-    """Tunable vehicle-management parameters (PX4-default-flavoured)."""
-
-    # Takeoff / landing envelope.
-    takeoff_speed_m_s: float = 2.0
-    landing_speed_m_s: float = 1.0
-    takeoff_accept_m: float = 0.6
-    disarm_ground_time_s: float = 1.5
-
-    # Failure detection (PX4 FD_* analogues).
-    fd_gyro_rate_threshold_rad_s: float = math.radians(60.0)
-    fd_tilt_threshold_rad: float = math.radians(70.0)
-    fd_trigger_time_s: float = 0.50
-
-    # Sensor isolation: the module first deactivates the primary sensor
-    # and tries redundant ones; only after this (minimum 1900 ms in the
-    # paper's observations) does the failsafe itself engage.
-    fs_isolation_time_s: float = 1.9
-
-    # Failsafe descent rate once engaged (emergency land).
-    fs_descent_speed_m_s: float = 1.2
-
-    # Mission supervision.
-    mission_timeout_factor: float = 2.0
-    mission_timeout_min_s: float = 120.0
-
-    #: PX4-style aliases accepted by :meth:`get`/:meth:`set`.
-    _ALIASES = {
-        "FD_GYRO_RATE": "fd_gyro_rate_threshold_rad_s",
-        "FD_FAIL_TILT": "fd_tilt_threshold_rad",
-        "FD_TRIG_TIME": "fd_trigger_time_s",
-        "FS_ISOLATION_T": "fs_isolation_time_s",
-        "MPC_TKO_SPEED": "takeoff_speed_m_s",
-        "MPC_LAND_SPEED": "landing_speed_m_s",
-    }
-
-    def _resolve(self, name: str) -> str:
-        attr = self._ALIASES.get(name, name)
-        if attr not in {f.name for f in fields(self)}:
-            raise KeyError(f"unknown parameter: {name}")
-        return attr
-
-    def get(self, name: str) -> float:
-        """Read a parameter by field name or PX4-style alias."""
-        return getattr(self, self._resolve(name))
-
-    def set(self, name: str, value: float) -> None:
-        """Write a parameter by field name or PX4-style alias."""
-        setattr(self, self._resolve(name), float(value))
+#: Sensor isolation: the module first deactivates the primary sensor
+#: and tries redundant ones; only after this (minimum 1900 ms in the
+#: paper's observations) does the failsafe itself engage.
+FS_ISOLATION_TIME_S = 1.9

@@ -197,9 +197,14 @@ def quat_integrate(q: np.ndarray, omega_body: np.ndarray, dt: float) -> np.ndarr
 
     Uses the exact exponential map of the rotation increment, which stays
     stable for the large rates produced by gyro Min/Max fault injections.
+    A non-finite rotation angle gives a NaN quaternion.
     """
     omega_body = np.asarray(omega_body, dtype=float)
     angle = math.sqrt(float(omega_body.dot(omega_body))) * dt
+    if math.isinf(angle):
+        # sin/cos of an infinite angle raise; a NaN angle already
+        # propagates as NaN through the exponential map.
+        return np.full(4, math.nan)
     if angle < _EPS:
         dq = np.array(
             [
@@ -411,6 +416,10 @@ def quat_integrate_into(
         # quat_from_axis_angle's own degenerate guard (reachable only for
         # pathological dt); keeps parity with the allocating path.
         dw, dx, dy, dz = 1.0, 0.0, 0.0, 0.0
+    elif math.isinf(angle):
+        # As in quat_integrate: an infinite angle gives NaN.
+        out[:] = math.nan
+        return out
     else:
         half = 0.5 * angle
         s = math.sin(half) / norm

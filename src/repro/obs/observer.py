@@ -35,6 +35,7 @@ from repro.obs.registry import (
     get_default_registry,
 )
 from repro.obs.trace import NULL_SINK, TraceCollector, TraceEvent
+from repro.sim.dynamics import PHYSICS_DT_S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system import UavSystem
@@ -61,8 +62,8 @@ class Observer:
             # Deferred: repro.telemetry.recorder imports repro.obs.
             from repro.telemetry.recorder import FlightRecorder
 
-            # The last 8 s, one row per 100 Hz physics tick.
-            blackbox = FlightRecorder(rate_hz=1.0 / 0.01, seconds=8.0)
+            # The last 8 s, one row per physics tick.
+            blackbox = FlightRecorder(rate_hz=1.0 / PHYSICS_DT_S, seconds=8.0)
         self.blackbox = blackbox
         self.blackbox_dir = Path(blackbox_dir) if blackbox_dir is not None else None
         self.blackbox_name = blackbox_name

@@ -17,7 +17,7 @@ from repro.redundancy.recovery import (
     Selection,
     SwitchEvent,
 )
-from repro.redundancy.voter import Voter, VoteReport, VoterParams
+from repro.redundancy.voter import Voter, VoteReport
 
 __all__ = [
     "MEMBER_SEED_STRIDE",
@@ -30,5 +30,4 @@ __all__ = [
     "SwitchEvent",
     "Voter",
     "VoteReport",
-    "VoterParams",
 ]

@@ -13,14 +13,13 @@ bit-identical to the pre-redundancy single-IMU pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.faults import FaultSpec
 from repro.core.injector import SensorFaultInjector
-from repro.redundancy.voter import VoterParams
-from repro.sensors.imu import ImuParams, ImuSample, ImuStack
+from repro.sensors.imu import ACCEL_RANGE_M_S2, GYRO_RANGE_RAD_S, ImuSample, ImuStack
 
 #: Seed stride between bank members. Member 0 keeps the base seed
 #: exactly (baseline bit-identity); a large prime stride keeps the
@@ -41,7 +40,6 @@ class RedundancyConfig:
 
     enabled: bool = False
     num_members: int = 3
-    voter: VoterParams = field(default_factory=VoterParams)
 
     def __post_init__(self) -> None:
         if self.num_members < 1:
@@ -62,13 +60,12 @@ class ImuBank:
         fault: FaultSpec | None,
         num_members: int,
         base_seed: int,
-        params: ImuParams | None = None,
     ) -> None:
         if num_members < 1:
             raise ValueError("num_members must be >= 1")
         self.num_members = num_members
         self.imus = ImuStack(
-            params, [base_seed + k * MEMBER_SEED_STRIDE for k in range(num_members)]
+            [base_seed + k * MEMBER_SEED_STRIDE for k in range(num_members)]
         )
         self.injectors: list[SensorFaultInjector] = []
         self.arm(fault)
@@ -77,18 +74,10 @@ class ImuBank:
         """Put a fresh injector for ``fault`` in front of every member."""
         self.injectors = [
             SensorFaultInjector(
-                fault, self.accel_range, self.gyro_range, member_index=k
+                fault, ACCEL_RANGE_M_S2, GYRO_RANGE_RAD_S, member_index=k
             )
             for k in range(self.num_members)
         ]
-
-    @property
-    def accel_range(self) -> float:
-        return self.imus.accel_range
-
-    @property
-    def gyro_range(self) -> float:
-        return self.imus.gyro_range
 
     def sample(
         self,

@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.obs.trace import NULL_SINK, EventSink
-from repro.redundancy.voter import Voter, VoteReport, VoterParams
+from repro.redundancy.voter import Voter, VoteReport
 from repro.sensors.imu import ImuSample
 
 
@@ -69,12 +69,12 @@ class Selection:
 class RedundancyManager:
     """Selects the flight stack's IMU stream from the bank."""
 
-    def __init__(self, params: VoterParams | None, num_members: int, enabled: bool) -> None:
+    def __init__(self, num_members: int, enabled: bool) -> None:
         self.enabled = enabled and num_members >= 2
         self.num_members = num_members
         #: Trace sink for switchover events; a no-op without an observer.
         self.obs: EventSink = NULL_SINK
-        self.voter = Voter(params, num_members)
+        self.voter = Voter(num_members)
         self.primary = 0
         self.state = RecoveryState.NOMINAL
         self.failed_members: set[int] = set()

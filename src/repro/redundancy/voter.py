@@ -4,7 +4,7 @@ The voter compares every bank member against the member-wise median of
 the bank (the classic mid-value select used by flight-control voters:
 with one corrupted member out of three, the median is always formed
 from healthy samples). A member whose residual against the median
-exceeds the configured thresholds for a debounce interval is declared
+exceeds the thresholds for a debounce interval is declared
 *unhealthy*; it recovers only after staying inside the envelope for a
 longer re-admission interval, so a fault oscillating around the
 threshold cannot flap the primary selection.
@@ -46,38 +46,18 @@ def _median(values: list[float]) -> float:
     return (0.0 + values[half - 1] + values[half]) / 2.0
 
 
-@dataclass(frozen=True)
-class VoterParams:
-    """Mismatch thresholds and debounce times of the cross-sensor voter.
-
-    Attributes:
-        accel_threshold_m_s2: residual against the bank median above
-            which an accelerometer triad counts as mismatched. The
-            default clears normal sensor noise (sigma ~0.05 m/s^2) by a
-            wide margin while catching every Table I behaviour.
-        gyro_threshold_rad_s: same for the gyroscope triad.
-        mismatch_debounce_s: how long a member must stay mismatched
-            before it is declared unhealthy.
-        readmit_debounce_s: how long a flagged member must stay clean
-            before it counts as healthy again (at least the mismatch
-            debounce, so selection cannot flap; shorter is rejected).
-    """
-
-    accel_threshold_m_s2: float = 3.0
-    gyro_threshold_rad_s: float = 0.3
-    mismatch_debounce_s: float = 0.15
-    readmit_debounce_s: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.accel_threshold_m_s2 <= 0.0 or self.gyro_threshold_rad_s <= 0.0:
-            raise ValueError("voter thresholds must be positive")
-        if self.mismatch_debounce_s < 0.0 or self.readmit_debounce_s < 0.0:
-            raise ValueError("debounce times must be non-negative")
-        if self.readmit_debounce_s < self.mismatch_debounce_s:
-            raise ValueError(
-                "readmit_debounce_s must be at least mismatch_debounce_s, "
-                "or primary selection can flap"
-            )
+#: Residual against the bank median above which an accelerometer triad
+#: counts as mismatched: clears normal sensor noise (sigma ~0.05 m/s^2)
+#: by a wide margin while catching every Table I behaviour.
+ACCEL_THRESHOLD_M_S2 = 3.0
+#: Same for the gyroscope triad.
+GYRO_THRESHOLD_RAD_S = 0.3
+#: How long a member must stay mismatched before it is declared
+#: unhealthy, and how long a flagged member must then stay clean before
+#: it counts as healthy again. Re-admission is the slower of the two, so
+#: a fault oscillating around the threshold cannot flap the selection.
+MISMATCH_DEBOUNCE_S = 0.15
+READMIT_DEBOUNCE_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -114,10 +94,9 @@ class VoteReport:
 class Voter:
     """Debounced median voter over ``num_members`` IMU streams."""
 
-    def __init__(self, params: VoterParams | None = None, num_members: int = 3) -> None:
+    def __init__(self, num_members: int = 3) -> None:
         if num_members < 1:
             raise ValueError("num_members must be >= 1")
-        self.params = params or VoterParams()
         self.num_members = num_members
         # Member-stacked samples and their deviations from the median,
         # overwritten every cycle. Each member owns a (1, 3) row, so one
@@ -139,7 +118,6 @@ class Voter:
             )
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        p = self.params
         accels = self._accels
         gyros = self._gyros
         for k, sample in enumerate(samples):
@@ -164,8 +142,8 @@ class Voter:
         mismatched: list[bool] = []
         for i in range(self.num_members):
             residual = max(
-                math.sqrt(accel_sq[i][0][0]) / p.accel_threshold_m_s2,
-                math.sqrt(gyro_sq[i][0][0]) / p.gyro_threshold_rad_s,
+                math.sqrt(accel_sq[i][0][0]) / ACCEL_THRESHOLD_M_S2,
+                math.sqrt(gyro_sq[i][0][0]) / GYRO_THRESHOLD_RAD_S,
             )
             residuals.append(residual)
             mismatched.append(residual > 1.0)
@@ -174,12 +152,12 @@ class Voter:
             if bad_now:
                 self._mismatch_time_s[i] += dt
                 self._clean_time_s[i] = 0.0
-                if self._mismatch_time_s[i] >= p.mismatch_debounce_s:
+                if self._mismatch_time_s[i] >= MISMATCH_DEBOUNCE_S:
                     self._unhealthy[i] = True
             else:
                 self._clean_time_s[i] += dt
                 self._mismatch_time_s[i] = 0.0
-                if self._unhealthy[i] and self._clean_time_s[i] >= p.readmit_debounce_s:
+                if self._unhealthy[i] and self._clean_time_s[i] >= READMIT_DEBOUNCE_S:
                     self._unhealthy[i] = False
 
         return VoteReport(

@@ -8,26 +8,16 @@ the same injection point the paper uses inside PX4 (corrupting sensor
 data output, not physics).
 """
 
-from repro.sensors.imu import (
-    ImuParams,
-    ImuSample,
-    ImuStack,
-    TriadSensorParams,
-)
-from repro.sensors.gps import GpsModel, GpsParams, GpsSample
-from repro.sensors.barometer import Barometer, BarometerParams
-from repro.sensors.magnetometer import Magnetometer, MagnetometerParams
+from repro.sensors.imu import ImuSample, ImuStack
+from repro.sensors.gps import GpsModel, GpsSample
+from repro.sensors.barometer import Barometer
+from repro.sensors.magnetometer import Magnetometer
 
 __all__ = [
-    "ImuParams",
     "ImuSample",
     "ImuStack",
-    "TriadSensorParams",
     "GpsModel",
-    "GpsParams",
     "GpsSample",
     "Barometer",
-    "BarometerParams",
     "Magnetometer",
-    "MagnetometerParams",
 ]

@@ -2,31 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class BarometerParams:
-    """Baro error model: white noise plus a slow pressure-drift walk."""
-
-    rate_hz: float = 20.0
-    noise_m: float = 0.15
-    drift_rate_m_sqrt_s: float = 0.005
-
-    def __post_init__(self) -> None:
-        if self.rate_hz <= 0.0:
-            raise ValueError("rate_hz must be positive")
+# White noise plus a slow pressure-drift walk.
+RATE_HZ = 20.0
+NOISE_M = 0.15
+DRIFT_RATE_M_SQRT_S = 0.005
 
 
 class Barometer:
-    """Measures altitude above the origin (positive up) at ``rate_hz``."""
+    """Measures altitude above the origin (positive up) at :data:`RATE_HZ`."""
 
-    def __init__(self, params: BarometerParams | None = None, seed: int = 0):
-        self.params = params or BarometerParams()
+    def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
-        self._interval = 1.0 / self.params.rate_hz
+        self._interval = 1.0 / RATE_HZ
         self._next_sample_time = 0.0
         self._drift = 0.0
 
@@ -36,6 +26,6 @@ class Barometer:
             return None
         self._next_sample_time = time_s + self._interval
         self._drift += self._rng.normal(
-            0.0, self.params.drift_rate_m_sqrt_s * np.sqrt(self._interval)
+            0.0, DRIFT_RATE_M_SQRT_S * np.sqrt(self._interval)
         )
-        return altitude_m + self._drift + self._rng.normal(0.0, self.params.noise_m)
+        return altitude_m + self._drift + self._rng.normal(0.0, NOISE_M)

@@ -7,23 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
-class GpsParams:
-    """GNSS error model.
-
-    Horizontal/vertical accuracies default to a good multi-band receiver
-    in open sky; the paper's missions fly in simulated clear conditions
-    (GPS faults were covered by the authors' earlier studies, not here).
-    """
-
-    rate_hz: float = 5.0
-    horizontal_noise_m: float = 0.4
-    vertical_noise_m: float = 0.8
-    velocity_noise_m_s: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.rate_hz <= 0.0:
-            raise ValueError("rate_hz must be positive")
+# A good multi-band receiver in open sky; the paper's missions fly in
+# simulated clear conditions (GPS faults were covered by the authors'
+# earlier studies, not here).
+RATE_HZ = 5.0
+HORIZONTAL_NOISE_M = 0.4
+VERTICAL_NOISE_M = 0.8
+VELOCITY_NOISE_M_S = 0.1
 
 
 @dataclass(slots=True)
@@ -38,16 +28,15 @@ class GpsSample:
 
 
 class GpsModel:
-    """Samples ground truth into GNSS fixes at ``rate_hz``.
+    """Samples ground truth into GNSS fixes at :data:`RATE_HZ`.
 
     :meth:`maybe_sample` returns ``None`` between fixes so the caller can
     drive it from the fast physics loop without bookkeeping.
     """
 
-    def __init__(self, params: GpsParams | None = None, seed: int = 0):
-        self.params = params or GpsParams()
+    def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
-        self._interval = 1.0 / self.params.rate_hz
+        self._interval = 1.0 / RATE_HZ
         self._next_sample_time = 0.0
 
     def maybe_sample(
@@ -57,19 +46,18 @@ class GpsModel:
         if time_s + 1e-9 < self._next_sample_time:
             return None
         self._next_sample_time = time_s + self._interval
-        p = self.params
         pos_noise = np.array(
             [
-                self._rng.normal(0.0, p.horizontal_noise_m),
-                self._rng.normal(0.0, p.horizontal_noise_m),
-                self._rng.normal(0.0, p.vertical_noise_m),
+                self._rng.normal(0.0, HORIZONTAL_NOISE_M),
+                self._rng.normal(0.0, HORIZONTAL_NOISE_M),
+                self._rng.normal(0.0, VERTICAL_NOISE_M),
             ]
         )
-        vel_noise = self._rng.normal(0.0, p.velocity_noise_m_s, size=3)
+        vel_noise = self._rng.normal(0.0, VELOCITY_NOISE_M_S, size=3)
         return GpsSample(
             time_s=time_s,
             position_ned=position_ned + pos_noise,
             velocity_ned=velocity_ned + vel_noise,
-            horizontal_accuracy_m=p.horizontal_noise_m,
-            vertical_accuracy_m=p.vertical_noise_m,
+            horizontal_accuracy_m=HORIZONTAL_NOISE_M,
+            vertical_accuracy_m=VERTICAL_NOISE_M,
         )

@@ -11,63 +11,25 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.sim.environment import GRAVITY_M_S2
 
 
-@dataclass
-class TriadSensorParams:
-    """Imperfection model shared by both 3-axis inertial sensors.
-
-    Attributes:
-        measurement_range: symmetric saturation limit (sensor units); the
-            sensor reports values in ``[-range, +range]``.
-        noise_density: standard deviation of per-sample white noise.
-        bias_sigma: standard deviation of the constant turn-on bias drawn
-            once per run.
-        bias_instability: random-walk rate of the slowly wandering bias.
-    """
-
-    measurement_range: float
-    noise_density: float
-    bias_sigma: float
-    bias_instability: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.measurement_range <= 0.0:
-            raise ValueError("measurement_range must be positive")
-        if self.noise_density < 0.0 or self.bias_sigma < 0.0:
-            raise ValueError("noise parameters must be non-negative")
-
-
-@dataclass
-class ImuParams:
-    """Combined IMU configuration.
-
-    Defaults model a tactical-grade consumer MEMS part: +/-16 g
-    accelerometer, +/-2000 deg/s gyroscope — the ranges that bound the
-    paper's Min/Max/Random fault values.
-    """
-
-    accel: TriadSensorParams = field(
-        default_factory=lambda: TriadSensorParams(
-            measurement_range=16.0 * GRAVITY_M_S2,
-            noise_density=0.05,
-            bias_sigma=0.03,
-            bias_instability=0.0005,
-        )
-    )
-    gyro: TriadSensorParams = field(
-        default_factory=lambda: TriadSensorParams(
-            measurement_range=math.radians(2000.0),
-            noise_density=0.003,
-            bias_sigma=0.002,
-            bias_instability=5e-5,
-        )
-    )
+# A tactical-grade consumer MEMS part: the +/-16 g accelerometer and
+# +/-2000 deg/s gyroscope ranges bound the paper's Min/Max/Random fault
+# values. Each triad has white noise (per-sample sigma), a turn-on bias
+# (sigma, drawn once per run) and a bias random walk (rate).
+ACCEL_RANGE_M_S2 = 16.0 * GRAVITY_M_S2
+ACCEL_NOISE_DENSITY = 0.05
+ACCEL_BIAS_SIGMA = 0.03
+ACCEL_BIAS_INSTABILITY = 0.0005
+GYRO_RANGE_RAD_S = math.radians(2000.0)
+GYRO_NOISE_DENSITY = 0.003
+GYRO_BIAS_SIGMA = 0.002
+GYRO_BIAS_INSTABILITY = 5e-5
 
 
 @dataclass(slots=True)
@@ -103,48 +65,29 @@ class ImuStack:
     copy of the vehicle keeps no detached views.
     """
 
-    def __init__(self, params: ImuParams | None, seeds: Sequence[int]):
+    def __init__(self, seeds: Sequence[int]):
         if not seeds:
             raise ValueError("an IMU stack needs at least one member")
-        self.params = params or ImuParams()
-        triads = (self.params.accel, self.params.gyro)
         n = len(seeds)
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
         self.bias = np.empty((n, 2, 3))
         for k, rng in enumerate(self._rngs):
-            for t, p in enumerate(triads):
-                self.bias[k, t] = rng.normal(0.0, p.bias_sigma, size=3)
+            for t, sigma in enumerate((ACCEL_BIAS_SIGMA, GYRO_BIAS_SIGMA)):
+                self.bias[k, t] = rng.normal(0.0, sigma, size=3)
 
         # A member's per-tick draw holds, in the order a lone IMU draws
-        # them: the accelerometer's bias walk (if its bias walks) and
-        # noise, then the gyroscope's. One standard-normal draw replaces
-        # the per-triad `rng.normal` calls: the Generator emits the same
-        # stream, and `sigma * z == normal(0, sigma)` bit-for-bit. The
-        # index tables gather each triad's walk and noise columns; a
-        # triad whose bias does not walk gathers three spare columns
-        # that stay zero (adding +0.0 leaves a bias unchanged: it is
-        # drawn as `0.0 + sigma * z`, so it is never -0.0).
-        walk_cols: list[list[int]] = []
-        noise_cols: list[list[int]] = []
-        self._walks = [p.bias_instability > 0.0 for p in triads]
-        width = 0
-        for walks in self._walks:
-            walk_cols.append(list(range(width, width + 3)) if walks else [])
-            width += 3 if walks else 0
-            noise_cols.append(list(range(width, width + 3)))
-            width += 3
-        spare = list(range(width, width + 3))
-        self._walk_idx = np.array([cols or spare for cols in walk_cols])
-        self._noise_idx = np.array(noise_cols)
-        self._z = np.empty((n, width))
-        self._scaled = np.zeros((n, width + 3))
-        self._scales = np.zeros(width)
+        # them: the accelerometer's bias walk and noise, then the
+        # gyroscope's. One standard-normal draw replaces the per-triad
+        # `rng.normal` calls: the Generator emits the same stream, and
+        # `sigma * z == normal(0, sigma)` bit-for-bit. Scaled, the draw
+        # is viewed as (triad, walk/noise, axis).
+        self._z = np.empty((n, 12))
+        self._scaled = np.zeros((n, 2, 2, 3))
+        self._scales = np.zeros(12)
         self._scales_dt = math.nan
-        self._walk = np.zeros((n, 2, 3))
-        self._noise = np.zeros((n, 2, 3))
         self._truth = np.zeros((2, 3))
         self._out = np.zeros((n, 2, 3))
-        self._low = np.array([[-p.measurement_range] for p in triads])
+        self._low = np.array([[-ACCEL_RANGE_M_S2], [-GYRO_RANGE_RAD_S]])
         # Output samples, reused every tick: downstream consumers (voter,
         # injector, EKF, controllers) all read-or-copy within the tick.
         self._samples = [ImuSample(0.0, np.zeros(3), np.zeros(3)) for _ in range(n)]
@@ -159,46 +102,31 @@ class ImuStack:
         """
         if dt != self._scales_dt:
             # Each column's sigma, computed as the per-triad scalar was.
-            scales: list[float] = []
-            for p, walks in zip((self.params.accel, self.params.gyro), self._walks):
-                if walks:
-                    scales += [p.bias_instability * math.sqrt(dt)] * 3
-                scales += [p.noise_density] * 3
-            self._scales[:] = scales
+            self._scales[:] = (
+                [ACCEL_BIAS_INSTABILITY * math.sqrt(dt)] * 3
+                + [ACCEL_NOISE_DENSITY] * 3
+                + [GYRO_BIAS_INSTABILITY * math.sqrt(dt)] * 3
+                + [GYRO_NOISE_DENSITY] * 3
+            )
             self._scales_dt = dt
         z = self._z
         for k, rng in enumerate(self._rngs):
             rng.standard_normal(out=z[k])
         scaled = self._scaled
-        np.multiply(z, self._scales, out=scaled[:, : z.shape[1]])
+        np.multiply(z, self._scales, out=scaled.reshape(z.shape))
 
-        scaled.take(self._walk_idx, axis=1, out=self._walk)
-        self.bias += self._walk
+        self.bias += scaled[:, :, 0]
         truth = self._truth
         truth[0] = specific_force_body
         truth[1] = angular_rate_body
         out = self._out
         np.add(truth, self.bias, out=out)
-        scaled.take(self._noise_idx, axis=1, out=self._noise)
-        out += self._noise
+        out += scaled[:, :, 1]
         np.maximum(out, self._low, out=out)
 
         # The upper clamp writes member k's rows straight into its sample.
-        accel_range = self.params.accel.measurement_range
-        gyro_range = self.params.gyro.measurement_range
         for k, sample in enumerate(self._samples):
             sample.time_s = time_s
-            np.minimum(out[k, 0], accel_range, out=sample.accel)
-            np.minimum(out[k, 1], gyro_range, out=sample.gyro)
+            np.minimum(out[k, 0], ACCEL_RANGE_M_S2, out=sample.accel)
+            np.minimum(out[k, 1], GYRO_RANGE_RAD_S, out=sample.gyro)
         return self._samples
-
-    @property
-    def accel_range(self) -> float:
-        """Accelerometer saturation limit (m/s^2)."""
-        return self.params.accel.measurement_range
-
-    @property
-    def gyro_range(self) -> float:
-        """Gyroscope saturation limit (rad/s)."""
-        return self.params.gyro.measurement_range
-

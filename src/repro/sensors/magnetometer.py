@@ -7,33 +7,22 @@ compass is modelled here and never targeted by the injector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.mathutils import quat_to_euler, wrap_angle
 
 
-@dataclass
-class MagnetometerParams:
-    """Compass error model: heading noise and a fixed installation bias."""
-
-    rate_hz: float = 20.0
-    heading_noise_rad: float = 0.01
-    heading_bias_rad: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.rate_hz <= 0.0:
-            raise ValueError("rate_hz must be positive")
+#: Heading white noise; the installation is bias-free.
+RATE_HZ = 20.0
+HEADING_NOISE_RAD = 0.01
 
 
 class Magnetometer:
     """Produces yaw (heading) measurements from the true attitude."""
 
-    def __init__(self, params: MagnetometerParams | None = None, seed: int = 0):
-        self.params = params or MagnetometerParams()
+    def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
-        self._interval = 1.0 / self.params.rate_hz
+        self._interval = 1.0 / RATE_HZ
         self._next_sample_time = 0.0
 
     def maybe_sample(self, time_s: float, quaternion: np.ndarray) -> float | None:
@@ -42,7 +31,5 @@ class Magnetometer:
             return None
         self._next_sample_time = time_s + self._interval
         _, _, yaw = quat_to_euler(quaternion)
-        noisy = yaw + self.params.heading_bias_rad + self._rng.normal(
-            0.0, self.params.heading_noise_rad
-        )
+        noisy = yaw + self._rng.normal(0.0, HEADING_NOISE_RAD)
         return wrap_angle(noisy)

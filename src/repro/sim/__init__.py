@@ -10,19 +10,18 @@ paper's PX4 setup where the injector corrupts sensor output, not physics.
 
 from repro.sim.state import RigidBodyState
 from repro.sim.environment import Environment, WindModel, GRAVITY_M_S2
-from repro.sim.motors import MotorModel, MotorBank
-from repro.sim.airframe import QuadrotorAirframe, AirframeParams
-from repro.sim.dynamics import QuadrotorPhysics, GroundContact
+from repro.sim.motors import MotorBank
+from repro.sim.airframe import QuadrotorAirframe
+from repro.sim.dynamics import PHYSICS_DT_S, QuadrotorPhysics, GroundContact
 
 __all__ = [
     "RigidBodyState",
     "Environment",
     "WindModel",
     "GRAVITY_M_S2",
-    "MotorModel",
     "MotorBank",
     "QuadrotorAirframe",
-    "AirframeParams",
     "QuadrotorPhysics",
     "GroundContact",
+    "PHYSICS_DT_S",
 ]

@@ -3,57 +3,27 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from repro.mathutils import quat_rotate_floats
-from repro.sim.environment import Environment
-from repro.sim.motors import MotorBank, MotorModel
+from repro.sim.environment import AIR_DENSITY_KG_M3, GRAVITY_M_S2
+from repro.sim.motors import MAX_THRUST_N, MotorBank
 
 
-@dataclass
-class AirframeParams:
-    """Physical parameters of a quad-X multirotor.
-
-    The defaults model a ~1.5 kg, 0.45 m-class delivery quad, which is in
-    the weight/speed class of the paper's Valencia scenario drones. The
-    ``dimension_m`` and ``safety_distance_m`` fields feed the inner-bubble
-    formula (Eq. 1 of the paper): ``dimension_m`` is ``D_o`` (wingspan)
-    and ``safety_distance_m`` is the manufacturer-recommended ``D_s``.
-    """
-
-    mass_kg: float = 1.5
-    inertia_diag: tuple[float, float, float] = (0.029, 0.029, 0.055)
-    arm_length_m: float = 0.25
-    drag_area_m2: float = 0.05
-    linear_drag_coeff: float = 0.25
-    angular_damping: float = 0.008
-    angular_damping_linear: float = 0.12
-    motor: MotorModel = field(default_factory=MotorModel)
-    dimension_m: float = 0.6
-    safety_distance_m: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.mass_kg <= 0.0:
-            raise ValueError("mass_kg must be positive")
-        if any(i <= 0.0 for i in self.inertia_diag):
-            raise ValueError("inertia must be positive definite")
-        if self.arm_length_m <= 0.0:
-            raise ValueError("arm_length_m must be positive")
-
-    @property
-    def hover_thrust_fraction(self) -> float:
-        """Normalised per-motor command fraction that balances gravity.
-
-        With the quadratic rotor map, hover needs
-        ``command = sqrt(m*g / (n * T_max))``.
-        """
-        from repro.sim.environment import GRAVITY_M_S2
-
-        weight = self.mass_kg * GRAVITY_M_S2
-        return float(np.sqrt(weight / (4.0 * self.motor.max_thrust_n)))
+#: Mass properties and aerodynamics of the quad-X airframe: a
+#: 0.45 m-class delivery quad, in the weight/speed class of the paper's
+#: Valencia scenario drones (its mass comes from the mission's drone).
+INERTIA_DIAG = (0.029, 0.029, 0.055)
+ARM_LENGTH_M = 0.25
+DRAG_AREA_M2 = 0.05
+LINEAR_DRAG_COEFF = 0.25
+ANGULAR_DAMPING = 0.008
+ANGULAR_DAMPING_LINEAR = 0.12
+#: Yaw reaction torque per Newton of rotor thrust (metres); the sign
+#: comes from the spin layout.
+TORQUE_RATIO_M = 0.016
 
 
 class QuadrotorAirframe:
@@ -80,17 +50,29 @@ class QuadrotorAirframe:
         (-0.7071, +0.7071, -1.0),
     )
 
-    def __init__(self, params: AirframeParams | None = None):
-        self.params = params or AirframeParams()
-        self.motors = MotorBank(self.params.motor, count=4)
-        self.inertia = np.diag(self.params.inertia_diag)
-        self.inertia_inv = np.diag([1.0 / i for i in self.params.inertia_diag])
-        arm = self.params.arm_length_m
+    def __init__(self, mass_kg: float = 1.5):
+        if mass_kg <= 0.0:
+            raise ValueError("mass_kg must be positive")
+        self.mass_kg = mass_kg
+        self.motors = MotorBank(count=4)
+        self.inertia = np.diag(INERTIA_DIAG)
+        self.inertia_inv = np.diag(np.reciprocal(INERTIA_DIAG))
+        arm = ARM_LENGTH_M
         self._positions = np.array([(x * arm, y * arm) for x, y, _ in self._LAYOUT])
         self._spins = np.array([s for _, _, s in self._LAYOUT])
         # Work buffer for the wind-relative velocity, whose speed is a
         # BLAS dot of it with itself.
         self._v_rel = np.zeros(3)
+
+    @property
+    def hover_thrust_fraction(self) -> float:
+        """Normalised per-motor command fraction that balances gravity.
+
+        With the quadratic rotor map, hover needs
+        ``command = sqrt(m*g / (n * T_max))``.
+        """
+        weight = self.mass_kg * GRAVITY_M_S2
+        return float(np.sqrt(weight / (4.0 * MAX_THRUST_N)))
 
     def forces_and_torques(
         self,
@@ -99,7 +81,6 @@ class QuadrotorAirframe:
         velocity_ned: Sequence[float],
         angular_rate_body: Sequence[float],
         wind_ned: Sequence[float],
-        env: Environment,
     ) -> tuple[float, float, float, float, float, float]:
         """Return world-frame force and body-frame torque as one 6-tuple.
 
@@ -109,7 +90,6 @@ class QuadrotorAirframe:
         ``thrusts_n`` is the motor bank's array (the lever-arm sums are
         BLAS dots over it), the state and wind are float sequences.
         """
-        p = self.params
         t0, t1, t2, t3 = thrusts_n.tolist()
         # `np.sum` of four values adds them left to right.
         total_thrust = ((t0 + t1) + t2) + t3
@@ -128,9 +108,9 @@ class QuadrotorAirframe:
         v_rel[2] = vr2
         speed = math.sqrt(float(v_rel.dot(v_rel)))
         # drag = -(0.5 * rho * A * speed + c_lin) * v_rel
-        drag = -(0.5 * env.air_density_kg_m3 * p.drag_area_m2 * speed + p.linear_drag_coeff)
-        mass = p.mass_kg
-        g0, g1, g2 = env.gravity_ned.tolist()
+        drag = -(0.5 * AIR_DENSITY_KG_M3 * DRAG_AREA_M2 * speed + LINEAR_DRAG_COEFF)
+        mass = self.mass_kg
+        g0, g1, g2 = 0.0, 0.0, GRAVITY_M_S2
         fx = (twx + vr0 * drag) + g0 * mass
         fy = (twy + vr1 * drag) + g1 * mass
         fz = (twz + vr2 * drag) + g2 * mass
@@ -142,11 +122,11 @@ class QuadrotorAirframe:
         positions = self._positions
         tau_x = -float(positions[:, 1].dot(thrusts_n))
         tau_y = float(positions[:, 0].dot(thrusts_n))
-        tau_z = float(self._spins.dot(thrusts_n)) * p.motor.torque_ratio_m
+        tau_z = float(self._spins.dot(thrusts_n)) * TORQUE_RATIO_M
 
         r0, r1, r2 = angular_rate_body
-        neg_ad = -p.angular_damping
-        adl = p.angular_damping_linear
+        neg_ad = -ANGULAR_DAMPING
+        adl = ANGULAR_DAMPING_LINEAR
         return (
             fx,
             fy,

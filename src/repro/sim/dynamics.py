@@ -14,8 +14,11 @@ from repro.mathutils import (
     quat_to_euler,
 )
 from repro.sim.airframe import QuadrotorAirframe
-from repro.sim.environment import Environment
+from repro.sim.environment import GRAVITY_M_S2, Environment
 from repro.sim.state import RigidBodyState
+
+#: The vehicle's fixed physics/control step: 100 Hz.
+PHYSICS_DT_S = 0.01
 
 #: Hard physical limits that keep the integrator sane while a fault is
 #: slamming the controls; real vehicles break up long before these.
@@ -38,7 +41,7 @@ class QuadrotorPhysics:
 
     Integrates translational dynamics with semi-implicit Euler and
     attitude with the quaternion exponential map, at the caller's fixed
-    step (the top-level system uses 100 Hz). Exposes the *true* specific
+    step (the top-level system uses :data:`PHYSICS_DT_S`). Exposes the *true* specific
     force and angular rate that the IMU model samples.
     """
 
@@ -57,7 +60,7 @@ class QuadrotorPhysics:
         # True specific force (accelerometer ground truth): what an ideal
         # accelerometer strapped to the body would read, in body axes.
         # Updated in place every step; copy before storing across steps.
-        self.specific_force_body = np.array([0.0, 0.0, -self.environment.gravity_m_s2])
+        self.specific_force_body = np.array([0.0, 0.0, -GRAVITY_M_S2])
         # Work buffers for the BLAS gemvs of the rotational dynamics.
         self._iw = np.zeros(3)
         self._tau_net = np.zeros(3)
@@ -70,8 +73,7 @@ class QuadrotorPhysics:
         # Python-float kernel: every elementwise step repeats its numpy
         # original's operation order; the gemvs and the norms of the
         # clamps stay BLAS (DESIGN.md section 11).
-        env = self.environment
-        wind = env.wind.step(dt).tolist()
+        wind = self.environment.wind.step(dt).tolist()
         airframe = self.airframe
         thrusts = airframe.motors.step(motor_commands, dt)
         state = self.state
@@ -81,7 +83,7 @@ class QuadrotorPhysics:
         v0, v1, v2 = v.tolist()
         w0, w1, w2 = w.tolist()
         fx, fy, fz, tau0, tau1, tau2 = airframe.forces_and_torques(
-            thrusts, q, (v0, v1, v2), (w0, w1, w2), wind, env
+            thrusts, q, (v0, v1, v2), (w0, w1, w2), wind
         )
 
         # Ground reaction: while resting on the plane, the normal force
@@ -90,14 +92,14 @@ class QuadrotorPhysics:
         if self.on_ground and fz > 0.0:
             fz = 0.0
 
-        mass = airframe.params.mass_kg
+        mass = airframe.mass_kg
         ax = fx / mass
         ay = fy / mass
         az = fz / mass
 
         # The accelerometer measures specific force: total non-gravitational
         # acceleration, expressed in body axes.
-        g0, g1, g2 = env.gravity_ned.tolist()
+        g0, g1, g2 = 0.0, 0.0, GRAVITY_M_S2
         qw, qx, qy, qz = q
         sf = self.specific_force_body
         sf[0], sf[1], sf[2] = quat_rotate_floats(

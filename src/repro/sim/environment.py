@@ -27,7 +27,7 @@ class WindModel:
     def __init__(
         self,
         mean_wind_ned: np.ndarray | None = None,
-        gust_sigma_m_s: float = 0.3,
+        gust_sigma_m_s: float = 0.25,
         gust_tau_s: float = 3.0,
         seed: int = 0,
     ):
@@ -89,20 +89,9 @@ class WindModel:
 
 @dataclass
 class Environment:
-    """Bundle of environmental conditions for one simulation run."""
+    """The conditions one simulation run flies in: its wind.
 
-    gravity_m_s2: float = GRAVITY_M_S2
-    air_density_kg_m3: float = AIR_DENSITY_KG_M3
+    Gravity and air density are the module constants above.
+    """
+
     wind: WindModel = field(default_factory=WindModel)
-
-    def __post_init__(self) -> None:
-        self._gravity_ned = np.array([0.0, 0.0, self.gravity_m_s2])
-
-    @property
-    def gravity_ned(self) -> np.ndarray:
-        """Gravity acceleration vector in NED (down positive).
-
-        Cached at construction (``gravity_m_s2`` is fixed for a run);
-        treat the returned array as read-only.
-        """
-        return self._gravity_ned

@@ -8,33 +8,15 @@ reaction torque is proportional to thrust via the rotor drag ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.mathutils import clamp, clip_float
 
 
-@dataclass
-class MotorModel:
-    """Parameters of a single rotor + ESC + propeller unit.
-
-    Attributes:
-        max_thrust_n: thrust at full command (Newtons).
-        time_constant_s: first-order response time constant.
-        torque_ratio_m: yaw reaction torque per Newton of thrust
-            (metres); sign is applied by the airframe's spin layout.
-    """
-
-    max_thrust_n: float = 8.0
-    time_constant_s: float = 0.04
-    torque_ratio_m: float = 0.016
-
-    def __post_init__(self) -> None:
-        if self.max_thrust_n <= 0.0:
-            raise ValueError("max_thrust_n must be positive")
-        if self.time_constant_s <= 0.0:
-            raise ValueError("time_constant_s must be positive")
+#: One rotor + ESC + propeller unit: thrust at full command (Newtons)
+#: and the first-order response time constant (seconds).
+MAX_THRUST_N = 8.0
+TIME_CONSTANT_S = 0.04
 
 
 class MotorBank:
@@ -45,10 +27,9 @@ class MotorBank:
     saturation.
     """
 
-    def __init__(self, model: MotorModel, count: int = 4):
+    def __init__(self, count: int = 4):
         if count < 1:
             raise ValueError("motor count must be >= 1")
-        self.model = model
         self.count = count
         self._effective = np.zeros(count)
         # `step` returns `self._thrust` without copying, so callers must
@@ -69,8 +50,8 @@ class MotorBank:
         commands = np.asarray(commands, dtype=float)
         if commands.shape != (self.count,):
             raise ValueError(f"expected {self.count} motor commands, got {commands.shape}")
-        alpha = clamp(dt / self.model.time_constant_s, 0.0, 1.0)
-        max_thrust = self.model.max_thrust_n
+        alpha = clamp(dt / TIME_CONSTANT_S, 0.0, 1.0)
+        max_thrust = MAX_THRUST_N
         # Float form of `effective += alpha * (clip(cmd, 0, 1) - effective)`
         # and `max_thrust * effective**2`, rounding as the numpy original.
         effective = self._effective
@@ -88,4 +69,4 @@ class MotorBank:
 
     def thrusts(self) -> np.ndarray:
         """Thrust produced at the current lagged commands (no stepping)."""
-        return self.model.max_thrust_n * self._effective**2
+        return MAX_THRUST_N * self._effective**2

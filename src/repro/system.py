@@ -13,7 +13,9 @@ log; an observer's black box is the same recorder kept as a ring and
 written every tick, and both dump to one format.
 
 The loop runs at a fixed 100 Hz physics/control rate with GPS at 5 Hz,
-baro/mag at 20 Hz, and tracking at 1 Hz.
+baro/mag at 20 Hz, and tracking at 1 Hz. Every vehicle parameter is a
+constant of the module that reads it, as the paper flies PX4 on its
+defaults; :class:`SystemConfig` holds the few values a run may set.
 """
 
 from __future__ import annotations
@@ -23,63 +25,65 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.control import (
-    AttitudeController,
-    Mixer,
-    PositionController,
-    PositionControllerParams,
-    RateController,
-)
+from repro.control import AttitudeController, Mixer, PositionController, RateController
 from repro.core.faults import FaultSpec
-from repro.estimation import Ekf, EkfParams, EstimatorHealth
+from repro.estimation import Ekf, EstimatorHealth
 from repro.flightstack import (
     Commander,
     CrashDetector,
     FailsafeEngine,
     FailsafeState,
-    FlightParams,
     FlightPhase,
     IsolationOutcome,
     MissionOutcome,
 )
+from repro.flightstack.commander import MISSION_TIMEOUT_FACTOR, MISSION_TIMEOUT_MIN_S
+from repro.flightstack.params import FD_GYRO_RATE_THRESHOLD_RAD_S, FS_ISOLATION_TIME_S
+from repro.mathutils import quat_from_euler
 from repro.missions.plan import MissionPlan
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.redundancy import ImuBank, RedundancyConfig, RedundancyManager
 from repro.sensors import Barometer, GpsModel, Magnetometer
 from repro.sim import (
-    AirframeParams,
+    PHYSICS_DT_S,
     Environment,
     QuadrotorAirframe,
     QuadrotorPhysics,
     RigidBodyState,
     WindModel,
 )
+from repro.sim.motors import MAX_THRUST_N
 from repro.telemetry import Broker, FlightRecorder, TrackMessage
 from repro.uspace import BubbleMonitor
 
 
+#: Rate of the flight log, :attr:`UavSystem.recorder`.
+FLIGHT_LOG_RATE_HZ = 5.0
+
+
 @dataclass
 class SystemConfig:
-    """Rates, seeds, and parameter overrides for one vehicle run."""
+    """What one vehicle run may set: its seed and the ablated mechanisms.
 
-    physics_dt_s: float = 0.01
-    tracking_interval_s: float = 1.0
-    recorder_rate_hz: float = 5.0
-    risk_factor: float = 1.0
+    Everything else is a constant of the module that reads it.
+    """
+
     seed: int = 0
-    wind_gust_sigma_m_s: float = 0.25
-    flight_params: FlightParams = field(default_factory=FlightParams)
-    ekf_params: EkfParams = field(default_factory=EkfParams)
+    #: The bubble's R factor (Eq. 3 of the paper).
+    risk_factor: float = 1.0
     #: Ablation switch: when False the attitude loop always runs at full
     #: gain, ignoring the estimator's attitude confidence.
     confidence_scheduling: bool = True
+    #: Ablation switch: when False the EKF never hard-resets a diverged
+    #: velocity/position block to the GPS fix (PX4's fusion timeout).
+    fusion_reset: bool = True
+    #: Failure detection's gyro-rate threshold (PX4's 60 deg/s default).
+    fd_gyro_rate_threshold_rad_s: float = FD_GYRO_RATE_THRESHOLD_RAD_S
+    #: Sensor-isolation time before the failsafe engages (1.9 s).
+    fs_isolation_time_s: float = FS_ISOLATION_TIME_S
     #: Redundant IMU bank + voter; disabled = the paper's single-IMU
     #: vehicle, bit-identical to the pre-redundancy pipeline.
     redundancy: RedundancyConfig = field(default_factory=RedundancyConfig)
-
-    def __post_init__(self) -> None:
-        if self.physics_dt_s <= 0.0:
-            raise ValueError("physics_dt_s must be positive")
 
 
 @dataclass
@@ -126,15 +130,11 @@ class UavSystem:
         cfg = self.config
         seed = cfg.seed + plan.mission_id * 1009
 
-        airframe = QuadrotorAirframe(AirframeParams(mass_kg=plan.drone.mass_kg))
-        environment = Environment(
-            wind=WindModel(gust_sigma_m_s=cfg.wind_gust_sigma_m_s, seed=seed + 1)
-        )
+        airframe = QuadrotorAirframe(plan.drone.mass_kg)
+        environment = Environment(wind=WindModel(seed=seed + 1))
         initial_yaw = self._initial_yaw(plan)
         initial = RigidBodyState()
         initial.position_ned = plan.home_ned.copy()
-        from repro.mathutils import quat_from_euler
-
         initial.quaternion = quat_from_euler(0.0, 0.0, initial_yaw)
         self.physics = QuadrotorPhysics(airframe, environment, initial)
 
@@ -148,38 +148,33 @@ class UavSystem:
             base_seed=seed + 2,
         )
         self.injector = self.imu_bank.injectors[0]
-        self.redundancy = RedundancyManager(
-            red.voter, self.imu_bank.num_members, enabled=red.enabled
-        )
+        self.redundancy = RedundancyManager(self.imu_bank.num_members, enabled=red.enabled)
         self.gps = GpsModel(seed=seed + 3)
         self.baro = Barometer(seed=seed + 4)
         self.mag = Magnetometer(seed=seed + 5)
         self.fault = fault
 
         self.ekf = Ekf(
-            params=cfg.ekf_params,
             initial_position_ned=plan.home_ned,
             initial_yaw_rad=initial_yaw,
+            fusion_reset=cfg.fusion_reset,
         )
 
-        pos_params = PositionControllerParams(
-            max_speed_xy_m_s=plan.drone.top_speed_m_s,
-        )
         self.position_controller = PositionController(
-            params=pos_params,
             mass_kg=plan.drone.mass_kg,
-            max_total_thrust_n=4.0 * airframe.params.motor.max_thrust_n,
+            max_total_thrust_n=4.0 * MAX_THRUST_N,
+            max_speed_xy_m_s=plan.drone.top_speed_m_s,
         )
         self.attitude_controller = AttitudeController()
         self.rate_controller = RateController()
         self.mixer = Mixer()
 
-        self.commander = Commander(plan, cfg.flight_params)
-        self.failsafe = FailsafeEngine(cfg.flight_params)
-        self.crash_detector = CrashDetector()
-        self.bubble_monitor = BubbleMonitor(
-            plan, tracking_interval_s=cfg.tracking_interval_s, risk_factor=cfg.risk_factor
+        self.commander = Commander(plan)
+        self.failsafe = FailsafeEngine(
+            cfg.fd_gyro_rate_threshold_rad_s, cfg.fs_isolation_time_s
         )
+        self.crash_detector = CrashDetector()
+        self.bubble_monitor = BubbleMonitor(plan, risk_factor=cfg.risk_factor)
         # Observability plane: NULL_OBSERVER's hooks and sinks are all
         # no-ops, so an uninstrumented vehicle pays one empty call per
         # step and zero branches. The commander/failsafe/redundancy
@@ -192,7 +187,7 @@ class UavSystem:
         if broker is not None:
             self.obs.attach_broker(broker, plan.mission_id)
         self.recorder = FlightRecorder(
-            rate_hz=cfg.recorder_rate_hz, registry=self.obs.metrics
+            rate_hz=FLIGHT_LOG_RATE_HZ, registry=self.obs.metrics
         )
         self.broker = broker
         self._last_gyro = np.zeros(3)
@@ -214,7 +209,7 @@ class UavSystem:
     def step(self) -> None:
         """Advance the whole system by one physics tick."""
         cfg = self.config
-        dt = cfg.physics_dt_s
+        dt = PHYSICS_DT_S
         t = self.physics.time_s
         truth = self.physics.state
 
@@ -373,7 +368,7 @@ class UavSystem:
         ``finish_run``.
         """
         hard_cap = self._hard_cap(None)
-        dt = self.config.physics_dt_s
+        dt = PHYSICS_DT_S
         physics = self.physics
         while (
             not self.commander.terminal
@@ -403,10 +398,9 @@ class UavSystem:
         self.obs.on_fault_armed(self)
 
     def _hard_cap(self, max_time_s: float | None) -> float:
-        params = self.config.flight_params
         return max_time_s or max(
-            params.mission_timeout_min_s + 60.0,
-            self.plan.estimated_duration_s() * (params.mission_timeout_factor + 0.5),
+            MISSION_TIMEOUT_MIN_S + 60.0,
+            self.plan.estimated_duration_s() * (MISSION_TIMEOUT_FACTOR + 0.5),
         )
 
     def finish_run(self, max_time_s: float | None = None) -> MissionResult:

@@ -23,6 +23,7 @@ from repro.core.results import ExperimentResult, harness_error_result
 from repro.missions.valencia import valencia_missions
 from repro.obs import MetricsRegistry, Observer
 from repro.redundancy import RedundancyConfig
+from repro.sim import PHYSICS_DT_S
 from repro.system import SystemConfig, UavSystem
 
 #: A tiny geometry with the fault in the climb-out, so most cases end
@@ -148,7 +149,7 @@ def test_timeout_while_flying_the_prefix_leaves_no_half_flown_snapshot(monkeypat
     assert not abandoned.is_alive()
     # Whatever the slot holds now is a complete snapshot.
     _, snapshot = campaign._snapshot
-    next_step_end_s = snapshot.physics.time_s + snapshot.config.physics_dt_s
+    next_step_end_s = snapshot.physics.time_s + PHYSICS_DT_S
     assert next_step_end_s >= injection_s
     assert run_experiment(first, TINY) == fresh_result(first, TINY)
 

@@ -13,6 +13,7 @@ from repro.control import (
     PositionController,
     RateController,
 )
+from repro.control import attitude, position
 from repro.mathutils import quat_from_euler, quat_identity, quat_to_euler
 
 
@@ -89,8 +90,8 @@ def test_velocity_setpoint_vertical_limits():
     ctrl = PositionController()
     up = ctrl.velocity_setpoint(np.array([0.0, 0.0, -100.0]), np.zeros(3))
     down = ctrl.velocity_setpoint(np.array([0.0, 0.0, 100.0]), np.zeros(3))
-    assert up[2] >= -ctrl.params.max_speed_up_m_s - 1e-9
-    assert down[2] <= ctrl.params.max_speed_down_m_s + 1e-9
+    assert up[2] >= -position.MAX_SPEED_UP_M_S - 1e-9
+    assert down[2] <= position.MAX_SPEED_DOWN_M_S + 1e-9
 
 
 def test_hover_acceleration_gives_level_attitude_and_hover_thrust():
@@ -113,15 +114,15 @@ def test_tilt_limited():
     _, q_sp = ctrl.thrust_and_attitude(np.array([100.0, 0.0, 0.0]), yaw_sp_rad=0.0)
     roll, pitch, _ = quat_to_euler(q_sp)
     tilt = math.sqrt(roll * roll + pitch * pitch)
-    assert tilt <= ctrl.params.max_tilt_rad + 0.02
+    assert tilt <= position.MAX_TILT_RAD + 0.02
 
 
 def test_collective_clamped():
     ctrl = PositionController()
     collective, _ = ctrl.thrust_and_attitude(np.array([0.0, 0.0, -1000.0]), 0.0)
-    assert collective <= ctrl.params.max_thrust
+    assert collective <= position.MAX_THRUST
     collective, _ = ctrl.thrust_and_attitude(np.array([0.0, 0.0, 1000.0]), 0.0)
-    assert collective >= ctrl.params.min_thrust
+    assert collective >= position.MIN_THRUST
 
 
 def test_yaw_setpoint_carried_into_attitude():
@@ -152,7 +153,7 @@ def test_attitude_rate_limits():
     ctrl = AttitudeController()
     q_sp = quat_from_euler(math.pi * 0.9, 0.0, 0.0)
     rate = ctrl.rate_setpoint(quat_identity(), q_sp)
-    assert abs(rate[0]) <= ctrl.params.max_rate_rad_s + 1e-9
+    assert abs(rate[0]) <= attitude.MAX_RATE_RAD_S + 1e-9
 
 
 def test_attitude_confidence_derates_gain():

@@ -4,7 +4,9 @@
 import numpy as np
 import pytest
 
-from repro.estimation import Ekf, EkfParams
+from repro.estimation import Ekf
+from repro.estimation.ekf import ACCEL_BIAS_LIMIT, GYRO_BIAS_LIMIT
+from repro.mathutils import quat_to_euler
 from repro.sensors.gps import GpsSample
 from repro.sensors.imu import ImuSample
 
@@ -96,7 +98,7 @@ def test_mag_corrects_yaw():
     for _ in range(200):
         ekf.predict(static_imu(ekf.time_s + 0.01), 0.01)
         ekf.update_mag_yaw(0.3)
-    assert abs(ekf.state.yaw_rad - 0.3) < 0.05
+    assert abs(quat_to_euler(ekf.quaternion)[2] - 0.3) < 0.05
 
 
 def test_innovation_gating_rejects_outlier():
@@ -193,11 +195,10 @@ def test_gravity_aiding_skipped_when_dynamic():
 
 
 def test_bias_clamped_to_limits():
-    params = EkfParams(accel_bias_limit=0.5, gyro_bias_limit=0.1)
-    ekf = Ekf(params)
-    ekf._inject_error(np.concatenate([np.zeros(9), np.full(3, 10.0), np.full(3, 10.0)]))
-    assert np.all(np.abs(ekf.gyro_bias) <= 0.1 + 1e-12)
-    assert np.all(np.abs(ekf.accel_bias) <= 0.5 + 1e-12)
+    ekf = Ekf()
+    ekf._inject_error(np.concatenate([np.zeros(9), np.full(3, 10.0), np.full(3, -10.0)]))
+    assert np.all(ekf.gyro_bias == GYRO_BIAS_LIMIT)
+    assert np.all(ekf.accel_bias == -ACCEL_BIAS_LIMIT)
 
 
 def test_predict_rejects_bad_dt():
@@ -207,6 +208,16 @@ def test_predict_rejects_bad_dt():
 
 def test_attitude_confidence_bounds():
     ekf = Ekf()
-    assert 0.12 <= ekf.attitude_confidence <= 1.0
+    assert 0.12 <= Ekf.confidence_from_std(ekf.attitude_std_rad) <= 1.0
     ekf.covariance[0, 0] = 4.0
-    assert ekf.attitude_confidence == pytest.approx(max(0.12, 0.06 / 2.0))
+    confidence = Ekf.confidence_from_std(ekf.attitude_std_rad)
+    assert confidence == pytest.approx(max(0.12, 0.06 / 2.0))
+
+
+def test_infinite_gyro_rate_propagates_nan():
+    """An infinite body rate leaves a NaN attitude instead of raising."""
+    ekf = Ekf()
+    imu = ImuSample(0.01, np.array([0.0, 0.0, -GRAVITY]), np.array([0.0, 0.0, np.inf]))
+    with np.errstate(invalid="ignore"):
+        ekf.predict(imu, 0.01)
+    assert np.all(np.isnan(ekf.quaternion))

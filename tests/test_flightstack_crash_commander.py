@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.flightstack import Commander, CrashDetector, FlightPhase, MissionOutcome
-from repro.flightstack.params import FlightParams
+from repro.flightstack.commander import MISSION_TIMEOUT_FACTOR, MISSION_TIMEOUT_MIN_S
 from repro.missions import MissionPlan, Waypoint
 from repro.missions.spec import DroneSpec
 from repro.sim.dynamics import GroundContact
@@ -154,10 +154,13 @@ def test_crash_during_failsafe_keeps_failsafe_verdict():
 
 
 def test_timeout_verdict():
-    params = FlightParams(mission_timeout_min_s=10.0, mission_timeout_factor=0.01)
-    cmd = Commander(make_plan(), params)
+    plan = make_plan()
+    timeout_s = max(MISSION_TIMEOUT_MIN_S, plan.estimated_duration_s() * MISSION_TIMEOUT_FACTOR)
+    cmd = Commander(plan)
     cmd.arm_and_takeoff(0.0)
-    cmd.update(11.0, np.zeros(3), False, False, False)
+    cmd.update(timeout_s - 1.0, np.zeros(3), False, False, False)
+    assert cmd.outcome is None
+    cmd.update(timeout_s + 1.0, np.zeros(3), False, False, False)
     assert cmd.outcome == MissionOutcome.TIMEOUT
 
 

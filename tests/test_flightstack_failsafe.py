@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from repro.estimation.health import EstimatorHealth
-from repro.flightstack import FailsafeEngine, FailsafeState, FailsafeTrigger, FlightParams
+from repro.flightstack import FailsafeEngine, FailsafeState, FailsafeTrigger
+from repro.flightstack.params import FS_ISOLATION_TIME_S
 
 
 HEALTHY = EstimatorHealth(False, False, False)
@@ -16,10 +17,7 @@ SPINNING = np.array([2.0, 0.0, 0.0])  # ~115 deg/s, above the 60 deg/s default
 
 
 def engine(**overrides):
-    params = FlightParams()
-    for key, value in overrides.items():
-        setattr(params, key, value)
-    return FailsafeEngine(params)
+    return FailsafeEngine(**overrides)
 
 
 def run_condition(fs, duration_s, gyro, tilt=0.0, health=HEALTHY, start=0.0, dt=0.01):
@@ -44,7 +42,7 @@ def test_gyro_rate_trigger_engages_after_isolation():
     assert fs.trigger == FailsafeTrigger.GYRO_RATE
     # Paper: failsafe takes a minimum of ~1900 ms (isolation) plus the
     # detection debounce before engaging.
-    assert fs.engaged_time_s >= FlightParams().fs_isolation_time_s
+    assert fs.engaged_time_s >= FS_ISOLATION_TIME_S
 
 
 def test_short_blip_does_not_even_isolate():

@@ -1,46 +1,22 @@
-"""Unit tests for the flight parameter system."""
+"""Unit tests for the PX4 failure-detection defaults."""
 
 import math
 
 import pytest
 
-from repro.flightstack import FlightParams
+from repro import SystemConfig
+from repro.flightstack import FailsafeEngine
+from repro.flightstack.params import FD_GYRO_RATE_THRESHOLD_RAD_S, FS_ISOLATION_TIME_S
 
 
 def test_paper_defaults():
-    params = FlightParams()
     # The paper quotes PX4's 60 deg/s default gyro threshold and a
-    # minimum 1900 ms isolation time before failsafe.
-    assert math.isclose(params.fd_gyro_rate_threshold_rad_s, math.radians(60.0))
-    assert params.fs_isolation_time_s == pytest.approx(1.9)
-
-
-def test_get_by_field_name():
-    params = FlightParams()
-    assert params.get("takeoff_speed_m_s") == params.takeoff_speed_m_s
-
-
-def test_get_by_px4_alias():
-    params = FlightParams()
-    assert params.get("FD_GYRO_RATE") == params.fd_gyro_rate_threshold_rad_s
-    assert params.get("MPC_TKO_SPEED") == params.takeoff_speed_m_s
-
-
-def test_set_by_alias():
-    params = FlightParams()
-    params.set("FD_GYRO_RATE", 1.0)
-    assert params.fd_gyro_rate_threshold_rad_s == 1.0
-
-
-def test_set_by_field_name():
-    params = FlightParams()
-    params.set("fs_isolation_time_s", 2.5)
-    assert params.fs_isolation_time_s == 2.5
-
-
-def test_unknown_parameter_rejected():
-    params = FlightParams()
-    with pytest.raises(KeyError):
-        params.get("NOT_A_PARAM")
-    with pytest.raises(KeyError):
-        params.set("NOT_A_PARAM", 1.0)
+    # minimum 1900 ms isolation time before failsafe; the vehicle's
+    # knob surface and the failsafe engine both default to them.
+    assert math.isclose(FD_GYRO_RATE_THRESHOLD_RAD_S, math.radians(60.0))
+    assert FS_ISOLATION_TIME_S == pytest.approx(1.9)
+    config = SystemConfig()
+    engine = FailsafeEngine()
+    for holder in (config, engine):
+        assert holder.fd_gyro_rate_threshold_rad_s == FD_GYRO_RATE_THRESHOLD_RAD_S
+        assert holder.fs_isolation_time_s == FS_ISOLATION_TIME_S

@@ -1,10 +1,8 @@
 """Fast API-surface tests: config validation, rendering helpers, exports."""
 
 import numpy as np
-import pytest
 
 import repro
-from repro import SystemConfig
 from repro.core.ablations import AblationPoint, render_ablation
 from repro.core.faults import FaultTarget, FaultType
 from repro.core.figures import FIGURE_3, FigureResult, render_ascii_trajectory
@@ -15,11 +13,6 @@ from repro.system import MissionResult
 def test_public_api_exports_exist():
     for name in repro.__all__:
         assert hasattr(repro, name), f"repro.{name} missing"
-
-
-def test_system_config_validation():
-    with pytest.raises(ValueError):
-        SystemConfig(physics_dt_s=0.0)
 
 
 def test_mission_result_completed_property():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control import AttitudeController, Mixer, PositionController
+from repro.control import attitude, position
 from repro.mathutils import quat_from_euler, quat_to_euler
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -25,12 +26,12 @@ def test_thrust_and_attitude_always_valid(accel_sp, yaw_sp):
     limits, and a tilt below the configured maximum."""
     ctrl = PositionController()
     collective, q_sp = ctrl.thrust_and_attitude(accel_sp, yaw_sp)
-    assert ctrl.params.min_thrust <= collective <= ctrl.params.max_thrust
+    assert position.MIN_THRUST <= collective <= position.MAX_THRUST
     assert math.isclose(float(q_sp @ q_sp), 1.0, rel_tol=1e-9)
     roll, pitch, _ = quat_to_euler(q_sp)
     # Tilt limit with a small numerical margin.
     tilt = math.acos(max(-1.0, min(1.0, math.cos(roll) * math.cos(pitch))))
-    assert tilt <= ctrl.params.max_tilt_rad + 0.05
+    assert tilt <= position.MAX_TILT_RAD + 0.05
 
 
 @given(angles, angles, angles, angles, angles, angles, st.floats(0.13, 1.0))
@@ -41,9 +42,9 @@ def test_rate_setpoint_bounded(r1, p1, y1, r2, p2, y2, confidence):
     q_sp = quat_from_euler(r2, p2, y2)
     rate = ctrl.rate_setpoint(q_est, q_sp, confidence=confidence)
     assert np.all(np.isfinite(rate))
-    assert abs(rate[0]) <= ctrl.params.max_rate_rad_s * confidence + 1e-9
-    assert abs(rate[1]) <= ctrl.params.max_rate_rad_s * confidence + 1e-9
-    assert abs(rate[2]) <= ctrl.params.max_yaw_rate_rad_s * confidence + 1e-9
+    assert abs(rate[0]) <= attitude.MAX_RATE_RAD_S * confidence + 1e-9
+    assert abs(rate[1]) <= attitude.MAX_RATE_RAD_S * confidence + 1e-9
+    assert abs(rate[2]) <= attitude.MAX_YAW_RATE_RAD_S * confidence + 1e-9
 
 
 @given(collectives, st.builds(lambda a, b, c: np.array([a, b, c]), torques, torques, torques))

@@ -32,7 +32,8 @@ from repro.core.experiments import build_experiment_matrix
 from repro.core.faults import FaultScope, FaultSpec, FaultTarget, FaultType
 from repro.core.results import fault_spec_from_dict, fault_spec_to_dict
 from repro.estimation.health import EstimatorHealth
-from repro.flightstack import FailsafeEngine, FailsafeState, FlightParams
+from repro.flightstack import FailsafeEngine, FailsafeState
+from repro.flightstack.params import FS_ISOLATION_TIME_S
 from repro.flightstack.failsafe import IsolationOutcome
 from repro.redundancy import (
     MEMBER_SEED_STRIDE,
@@ -41,9 +42,8 @@ from repro.redundancy import (
     RedundancyManager,
     RecoveryState,
     Voter,
-    VoterParams,
 )
-from repro.sensors.imu import ImuParams, ImuSample
+from repro.sensors.imu import ImuSample
 from tests.test_property_inplace_math import naive_imu, naive_imu_sample
 
 GOLDEN = Path(__file__).parent / "data" / "golden_tiny_campaign.json"
@@ -107,7 +107,7 @@ def test_fault_spec_from_dict_defaults_to_all_scope():
 
 def test_bank_member_zero_is_bit_identical_to_legacy_imu():
     bank = ImuBank(None, num_members=3, base_seed=42)
-    legacy = naive_imu(ImuParams(), seed=42)
+    legacy = naive_imu(seed=42)
     for i in range(20):
         t = i * 0.01
         samples = bank.sample(t, FORCE, RATE, 0.01)
@@ -125,7 +125,7 @@ def test_bank_members_have_independent_noise_streams():
 
 def test_bank_seed_stride_matches_contract():
     bank = ImuBank(None, num_members=2, base_seed=7)
-    twin = naive_imu(ImuParams(), seed=7 + MEMBER_SEED_STRIDE)
+    twin = naive_imu(seed=7 + MEMBER_SEED_STRIDE)
     got = bank.sample(0.0, FORCE, RATE, 0.01)[1]
     ref = naive_imu_sample(twin, 0.0, FORCE, RATE, 0.01)
     assert np.array_equal(got.accel, ref.accel)
@@ -182,7 +182,7 @@ def test_voter_clean_bank_is_healthy():
 
 
 def test_voter_mismatch_needs_debounce():
-    voter = Voter(VoterParams(mismatch_debounce_s=0.15), num_members=3)
+    voter = Voter(num_members=3)
     report = voter.update(corrupted_bank_samples(1), dt=0.01)
     assert report.mismatched[1] and not report.unhealthy[1]
     for _ in range(20):
@@ -192,9 +192,8 @@ def test_voter_mismatch_needs_debounce():
 
 
 def test_voter_readmission_is_slower_than_flagging():
-    params = VoterParams(mismatch_debounce_s=0.1, readmit_debounce_s=0.5)
-    voter = Voter(params, num_members=3)
-    for _ in range(15):
+    voter = Voter(num_members=3)
+    for _ in range(20):  # past the 0.15 s mismatch debounce
         voter.update(corrupted_bank_samples(2), dt=0.01)
     report = voter.update(clean_bank_samples(), dt=0.01)
     assert report.unhealthy[2]  # one clean tick is not re-admission
@@ -204,28 +203,6 @@ def test_voter_readmission_is_slower_than_flagging():
     for _ in range(25):
         report = voter.update(clean_bank_samples(), dt=0.01)
     assert not report.unhealthy[2]  # past 0.5 s: re-admitted
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"mismatch_debounce_s": -0.1},
-        {"readmit_debounce_s": -0.1},
-        {"mismatch_debounce_s": 0.5, "readmit_debounce_s": 0.15},
-        {"mismatch_debounce_s": 0.2, "readmit_debounce_s": 0.1999},
-    ],
-)
-def test_voter_params_reject_readmission_shorter_than_mismatch(kwargs):
-    """Re-admission must not be quicker than flagging, or a fault
-    oscillating around the threshold flaps the primary selection."""
-    with pytest.raises(ValueError):
-        VoterParams(**kwargs)
-
-
-def test_voter_params_accept_equal_debounces():
-    params = VoterParams(mismatch_debounce_s=0.3, readmit_debounce_s=0.3)
-    assert params.readmit_debounce_s == params.mismatch_debounce_s
-    assert VoterParams().readmit_debounce_s > VoterParams().mismatch_debounce_s
 
 
 def test_voter_preferred_member_excludes_and_breaks_ties_low():
@@ -288,7 +265,7 @@ def test_voter_never_prefers_a_corrupted_minority_member(
 
 
 def test_disabled_manager_is_a_passthrough():
-    manager = RedundancyManager(None, num_members=1, enabled=False)
+    manager = RedundancyManager(num_members=1, enabled=False)
     samples = [sample_at([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])]
     selection = manager.select(0.0, samples, 0.01, isolating=True)
     assert selection.sample is samples[0]
@@ -304,7 +281,7 @@ def run_manager(manager, make_samples, ticks, isolating, t0=0.0):
 
 
 def test_manager_does_not_switch_outside_isolation():
-    manager = RedundancyManager(None, num_members=3, enabled=True)
+    manager = RedundancyManager(num_members=3, enabled=True)
     sel = run_manager(manager, lambda: corrupted_bank_samples(0), 50, isolating=False)
     assert manager.primary == 0
     assert sel.state is RecoveryState.NOMINAL
@@ -312,7 +289,7 @@ def test_manager_does_not_switch_outside_isolation():
 
 
 def test_manager_switches_away_from_unhealthy_primary_when_isolating():
-    manager = RedundancyManager(None, num_members=3, enabled=True)
+    manager = RedundancyManager(num_members=3, enabled=True)
     run_manager(manager, lambda: corrupted_bank_samples(0), 50, isolating=False)
     switched_ticks = []
     for i in range(10):
@@ -339,7 +316,7 @@ def all_corrupted_samples():
 
 
 def test_manager_degrades_to_median_when_no_healthy_member_remains():
-    manager = RedundancyManager(None, num_members=3, enabled=True)
+    manager = RedundancyManager(num_members=3, enabled=True)
     exhausted_count = 0
     sel = None
     for i in range(60):
@@ -353,7 +330,7 @@ def test_manager_degrades_to_median_when_no_healthy_member_remains():
 
 
 def test_manager_leaves_degraded_when_primary_recovers():
-    manager = RedundancyManager(None, num_members=3, enabled=True)
+    manager = RedundancyManager(num_members=3, enabled=True)
     run_manager(manager, all_corrupted_samples, 60, isolating=True)
     assert manager.degraded
     sel = run_manager(manager, clean_bank_samples, 60, isolating=False)
@@ -363,7 +340,7 @@ def test_manager_leaves_degraded_when_primary_recovers():
 
 
 def test_manager_describe_is_total_over_states():
-    manager = RedundancyManager(None, num_members=3, enabled=True)
+    manager = RedundancyManager(num_members=3, enabled=True)
     for state in RecoveryState:
         manager.state = state
         assert manager.describe()
@@ -386,28 +363,27 @@ def drive(fs, duration_s, gyro, start=0.0, dt=0.01):
 
 
 def isolating_engine():
-    fs = FailsafeEngine(FlightParams())
+    fs = FailsafeEngine()
     t = drive(fs, 1.0, SPINNING)
     assert fs.state == FailsafeState.ISOLATING
     return fs, t
 
 
 def test_report_isolation_is_ignored_outside_isolating():
-    fs = FailsafeEngine(FlightParams())
+    fs = FailsafeEngine()
     fs.report_isolation(0.0, IsolationOutcome.SWITCHED)
     assert fs.isolation_outcome is IsolationOutcome.NOT_ATTEMPTED
 
 
 def test_switchover_restarts_the_isolation_window():
-    params = FlightParams()
     fs, t = isolating_engine()
     fs.report_isolation(t, IsolationOutcome.SWITCHED)
     assert fs.isolation_outcome is IsolationOutcome.SWITCHED
     # The fault persists: engagement now happens a full isolation
     # window after the switch, not after the original detection.
-    drive(fs, params.fs_isolation_time_s - 0.2, SPINNING, start=t)
+    drive(fs, FS_ISOLATION_TIME_S - 0.2, SPINNING, start=t)
     assert fs.state == FailsafeState.ISOLATING
-    drive(fs, 0.5, SPINNING, start=t + params.fs_isolation_time_s - 0.2)
+    drive(fs, 0.5, SPINNING, start=t + FS_ISOLATION_TIME_S - 0.2)
     assert fs.state == FailsafeState.ENGAGED
     assert fs.isolation_succeeded is False
 
@@ -422,10 +398,9 @@ def test_condition_clearing_during_isolation_counts_as_success():
 
 
 def test_exhausted_isolation_still_engages():
-    params = FlightParams()
     fs, t = isolating_engine()
     fs.report_isolation(t, IsolationOutcome.EXHAUSTED)
-    drive(fs, params.fs_isolation_time_s + 1.5, SPINNING, start=t)
+    drive(fs, FS_ISOLATION_TIME_S + 1.5, SPINNING, start=t)
     assert fs.state == FailsafeState.ENGAGED
     assert fs.isolation_outcome is IsolationOutcome.EXHAUSTED
     assert fs.isolation_succeeded is False

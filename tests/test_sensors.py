@@ -6,21 +6,16 @@ import numpy as np
 import pytest
 
 from repro.mathutils import quat_from_euler
-from repro.sensors import (
-    Barometer,
-    GpsModel,
-    GpsParams,
-    ImuStack,
-    Magnetometer,
-    TriadSensorParams,
-)
+from repro.sensors import Barometer, GpsModel, ImuStack, Magnetometer
+from repro.sensors.gps import HORIZONTAL_NOISE_M
+from repro.sensors.imu import ACCEL_RANGE_M_S2, GYRO_NOISE_DENSITY, GYRO_RANGE_RAD_S
 
 
 # ---------------------------------------------------------------------- IMU
 
 
 def test_imu_sample_close_to_truth():
-    imu = ImuStack(None, [1])
+    imu = ImuStack([1])
     truth_f = np.array([0.1, -0.2, -9.8])
     truth_w = np.array([0.01, 0.02, -0.01])
     sample = imu.sample(0.0, truth_f, truth_w, dt=0.01)[0]
@@ -30,56 +25,48 @@ def test_imu_sample_close_to_truth():
 
 
 def test_imu_saturates_at_range():
-    imu = ImuStack(None, [1])
+    imu = ImuStack([1])
     huge = np.full(3, 1e6)
     sample = imu.sample(0.0, huge, huge, dt=0.01)[0]
-    assert np.all(sample.accel <= imu.accel_range)
-    assert np.all(sample.gyro <= imu.gyro_range)
+    assert np.all(sample.accel == ACCEL_RANGE_M_S2)
+    assert np.all(sample.gyro == GYRO_RANGE_RAD_S)
 
 
 def test_imu_ranges_match_datasheet_defaults():
-    imu = ImuStack(None, [0])
-    assert math.isclose(imu.accel_range, 16.0 * 9.80665, rel_tol=1e-9)
-    assert math.isclose(imu.gyro_range, math.radians(2000.0), rel_tol=1e-9)
+    assert math.isclose(ACCEL_RANGE_M_S2, 16.0 * 9.80665, rel_tol=1e-9)
+    assert math.isclose(GYRO_RANGE_RAD_S, math.radians(2000.0), rel_tol=1e-9)
 
 
 def test_imu_noise_statistics():
-    imu = ImuStack(None, [5])
+    imu = ImuStack([5])
     truth = np.zeros(3)
     samples = np.array(
         [imu.sample(i * 0.01, truth, truth, dt=0.01)[0].gyro for i in range(5000)]
     )
-    # Std close to configured noise density (bias adds a small offset).
-    assert abs(samples.std() - imu.params.gyro.noise_density) < 0.002
+    # Std close to the noise density (bias adds a small offset).
+    assert abs(samples.std() - GYRO_NOISE_DENSITY) < 0.002
 
 
 def test_imu_deterministic_per_seed():
-    a = ImuStack(None, [9]).sample(0.0, np.zeros(3), np.zeros(3), dt=0.01)[0]
-    b = ImuStack(None, [9]).sample(0.0, np.zeros(3), np.zeros(3), dt=0.01)[0]
+    a = ImuStack([9]).sample(0.0, np.zeros(3), np.zeros(3), dt=0.01)[0]
+    b = ImuStack([9]).sample(0.0, np.zeros(3), np.zeros(3), dt=0.01)[0]
     assert np.allclose(a.accel, b.accel)
     assert np.allclose(a.gyro, b.gyro)
 
 
 def test_imu_sample_copy_independent():
-    imu = ImuStack(None, [1])
+    imu = ImuStack([1])
     s = imu.sample(0.0, np.zeros(3), np.zeros(3), dt=0.01)[0]
     c = s.copy()
     c.accel[0] = 99.0
     assert s.accel[0] != 99.0
 
 
-def test_triad_params_validation():
-    with pytest.raises(ValueError):
-        TriadSensorParams(measurement_range=0.0, noise_density=0.1, bias_sigma=0.1)
-    with pytest.raises(ValueError):
-        TriadSensorParams(measurement_range=1.0, noise_density=-0.1, bias_sigma=0.1)
-
-
 # ---------------------------------------------------------------------- GPS
 
 
 def test_gps_rate_limiting():
-    gps = GpsModel(GpsParams(rate_hz=5.0), seed=2)
+    gps = GpsModel(seed=2)
     fixes = 0
     for i in range(1000):  # 10 s at 100 Hz
         if gps.maybe_sample(i * 0.01, np.zeros(3), np.zeros(3)) is not None:
@@ -88,19 +75,14 @@ def test_gps_rate_limiting():
 
 
 def test_gps_noise_close_to_spec():
-    gps = GpsModel(GpsParams(rate_hz=100.0, horizontal_noise_m=0.4), seed=3)
+    gps = GpsModel(seed=3)
     errors = []
-    for i in range(2000):
+    for i in range(10000):  # 100 s at 100 Hz: 500 fixes
         fix = gps.maybe_sample(i * 0.01, np.zeros(3), np.zeros(3))
         if fix is not None:
             errors.append(fix.position_ned[0])
     std = np.std(errors)
-    assert 0.3 < std < 0.5
-
-
-def test_gps_params_validation():
-    with pytest.raises(ValueError):
-        GpsParams(rate_hz=0.0)
+    assert abs(std - HORIZONTAL_NOISE_M) < 0.1
 
 
 # ---------------------------------------------------------------------- Baro

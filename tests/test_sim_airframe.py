@@ -24,14 +24,13 @@ def forces(airframe, env, thrusts, quat=None, vel=None, rates=None):
         (vel if vel is not None else np.zeros(3)).tolist(),
         (rates if rates is not None else np.zeros(3)).tolist(),
         env.wind.current_wind_ned.tolist(),
-        env,
     )
     return np.array(wrench[:3]), np.array(wrench[3:])
 
 
 def test_zero_thrust_force_is_weight(airframe, still_env):
     force, torque = forces(airframe, still_env, [0.0] * 4)
-    assert np.allclose(force, [0, 0, airframe.params.mass_kg * 9.80665])
+    assert np.allclose(force, [0, 0, airframe.mass_kg * 9.80665])
     assert np.allclose(torque, 0.0)
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.mathutils import quat_from_euler
+from repro.sim.motors import MAX_THRUST_N
 from repro.sim import (
-    AirframeParams,
     Environment,
     QuadrotorAirframe,
     QuadrotorPhysics,
@@ -23,7 +23,7 @@ def make_physics(**state_kwargs):
 
 
 def hover_command(physics):
-    return np.full(4, physics.airframe.params.hover_thrust_fraction)
+    return np.full(4, physics.airframe.hover_thrust_fraction)
 
 
 def test_free_fall_without_thrust():
@@ -58,7 +58,7 @@ def test_tilt_produces_horizontal_acceleration():
 
 def test_asymmetric_thrust_rolls():
     physics = make_physics(position_ned=np.array([0.0, 0.0, -50.0]))
-    base = physics.airframe.params.hover_thrust_fraction
+    base = physics.airframe.hover_thrust_fraction
     # Motors 1 (back-left) and 2 (front-left) are on the left (y < 0).
     cmd = np.array([base + 0.1, base - 0.1, base - 0.1, base + 0.1])
     physics.step(cmd, dt=0.2)
@@ -132,15 +132,10 @@ def test_state_copy_is_deep():
 
 def test_airframe_params_validation():
     with pytest.raises(ValueError):
-        AirframeParams(mass_kg=0.0)
-    with pytest.raises(ValueError):
-        AirframeParams(inertia_diag=(0.0, 0.1, 0.1))
-    with pytest.raises(ValueError):
-        AirframeParams(arm_length_m=-0.1)
+        QuadrotorAirframe(mass_kg=0.0)
 
 
 def test_hover_thrust_fraction_balances_weight():
-    params = AirframeParams(mass_kg=1.5)
-    frac = params.hover_thrust_fraction
-    total_thrust = 4.0 * params.motor.max_thrust_n * frac**2
+    frac = QuadrotorAirframe(mass_kg=1.5).hover_thrust_fraction
+    total_thrust = 4.0 * MAX_THRUST_N * frac**2
     assert math.isclose(total_thrust, 1.5 * 9.80665, rel_tol=1e-9)

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.sim import Environment, WindModel
+from repro.sim import GRAVITY_M_S2, QuadrotorPhysics, WindModel
 
 
 def test_gravity_vector_points_down():
-    env = Environment()
-    assert np.allclose(env.gravity_ned, [0.0, 0.0, 9.80665])
+    # NED is down-positive, so a vehicle resting level on the ground
+    # reads -g along body z.
+    assert GRAVITY_M_S2 == 9.80665
+    assert np.array_equal(QuadrotorPhysics().specific_force_body, [0.0, 0.0, -9.80665])
 
 
 def test_wind_zero_sigma_is_constant():
