@@ -10,7 +10,7 @@ Run: ``python examples/bubble_analysis.py``
 """
 
 from repro import FaultSpec, FaultTarget, FaultType, UavSystem, valencia_missions
-from repro.uspace import inner_bubble_radius
+from repro.uspace import inner_bubble_radius, max_track_distance_m
 
 
 def fly_and_report(plan, fault=None, every_s=5):
@@ -40,7 +40,7 @@ def main():
     drone = plan.drone
 
     # Eq. 1 inputs for this drone.
-    d_m = drone.max_distance_per_track_m(1.0)
+    d_m = max_track_distance_m(drone.top_speed_m_s)
     inner = inner_bubble_radius(drone.dimension_m, drone.safety_distance_m, d_m)
     print(f"Drone {drone.name}: D_o={drone.dimension_m} m, "
           f"D_s={drone.safety_distance_m} m, D_m={d_m:.2f} m")

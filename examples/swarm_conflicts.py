@@ -16,7 +16,7 @@ Run: ``python examples/swarm_conflicts.py``
 
 from repro import FaultSpec, FaultTarget, FaultType, UavSystem, valencia_missions
 from repro.telemetry import CoreBroker, EdgeBroker, Tracker
-from repro.uspace import ConflictDetector, inner_bubble_radius
+from repro.uspace import ConflictDetector, inner_bubble_radius, max_track_distance_m
 
 
 def main():
@@ -39,7 +39,7 @@ def main():
     radii = {
         p.mission_id: inner_bubble_radius(
             p.drone.dimension_m, p.drone.safety_distance_m,
-            p.drone.max_distance_per_track_m(1.0),
+            max_track_distance_m(p.drone.top_speed_m_s),
         )
         for p in plans
     }

@@ -12,7 +12,8 @@ class DroneSpec:
     These are the quantities the paper's bubble formulas consume:
     ``dimension_m`` is D_o (wingspan incl. props), ``safety_distance_m``
     is the manufacturer-recommended D_s, and ``top_speed_m_s`` produces
-    D_m (the maximum distance covered between two tracking instances).
+    D_m (the maximum distance covered between two tracking instances,
+    :func:`repro.uspace.max_track_distance_m`).
     ``mass_kg`` varies per mission to model the scenario's "distinct
     payloads".
     """
@@ -32,12 +33,6 @@ class DroneSpec:
             raise ValueError("top_speed_m_s must be >= cruise_speed_m_s")
         if self.mass_kg <= 0.0:
             raise ValueError("mass_kg must be positive")
-
-    def max_distance_per_track_m(self, tracking_interval_s: float = 1.0) -> float:
-        """D_m of Eq. 1: top-speed distance between tracking instances."""
-        if tracking_interval_s <= 0.0:
-            raise ValueError("tracking_interval_s must be positive")
-        return self.top_speed_m_s * tracking_interval_s
 
 
 def kmh(value_km_h: float) -> float:

@@ -13,6 +13,7 @@ the sim/sensors/estimation/control/core layers).
 
 from __future__ import annotations
 
+import statistics
 import time
 from typing import Any
 
@@ -27,6 +28,8 @@ WARMUP_STEPS = 300
 #: Steps per timed section; each quartet times four sections.
 SECTION_STEPS = 60
 QUARTETS = 24
+#: Independent estimates per gate run; the verdict reads their median.
+ESTIMATES = 5
 #: Largest enabled-over-disabled overhead the gate passes. Enabled mode
 #: costs ~3-4% of gold cruise (one black-box row per step), so 5% trips
 #: on any added per-step obs work without flaking on scheduler noise.
@@ -82,26 +85,46 @@ def _paired_overhead(
 
 
 def run_bench() -> dict[str, Any]:
-    """Time the disabled/enabled pair and return the gate's report."""
-    disabled = build_pinned_system()
-    enabled = build_pinned_system(obs=Observer(registry=MetricsRegistry()))
-    for _ in range(WARMUP_STEPS):
-        disabled.step()
-        enabled.step()
-    disabled_rate, enabled_rate, overhead = _paired_overhead(
-        disabled, enabled, SECTION_STEPS, QUARTETS
-    )
+    """Time :data:`ESTIMATES` disabled/enabled pairs and return the
+    gate's report.
+
+    Each estimate flies a fresh pair through the same warm-up and
+    sections, so the estimates are independent draws of the same
+    quantity. One ABBA/IQM estimate still wanders by a few percent with
+    the host's load (twelve single-estimate runs of one tree spread from
+    -1.4% to 6.7%), which is as wide as the margin the ceiling allows;
+    the gate reads the median estimate, which a single noisy estimate
+    cannot move.
+    """
+    disabled_rates: list[float] = []
+    enabled_rates: list[float] = []
+    overheads: list[float] = []
+    for _ in range(ESTIMATES):
+        disabled = build_pinned_system()
+        enabled = build_pinned_system(obs=Observer(registry=MetricsRegistry()))
+        for _ in range(WARMUP_STEPS):
+            disabled.step()
+            enabled.step()
+        disabled_rate, enabled_rate, overhead = _paired_overhead(
+            disabled, enabled, SECTION_STEPS, QUARTETS
+        )
+        disabled_rates.append(disabled_rate)
+        enabled_rates.append(enabled_rate)
+        overheads.append(overhead)
     return {
-        "steps_per_sec_obs_disabled": round(disabled_rate, 1),
-        "steps_per_sec_obs_enabled": round(enabled_rate, 1),
-        "obs_overhead_frac": round(overhead, 4),
+        "steps_per_sec_obs_disabled": round(statistics.median(disabled_rates), 1),
+        "steps_per_sec_obs_enabled": round(statistics.median(enabled_rates), 1),
+        "obs_overhead_frac": round(statistics.median(overheads), 4),
+        "obs_overhead_estimates": [round(o, 4) for o in overheads],
     }
 
 
 def check_obs_overhead(report: dict[str, Any]) -> bool:
-    """True when the report's overhead is at or below the ceiling.
+    """True when the report's (median) overhead is at or below the
+    ceiling.
 
-    Both rates come from interleaved sections of the same run, so the
-    comparison is self-normalising and needs no cross-run slack.
+    Both rates of every estimate come from interleaved sections of the
+    same run, so the comparison is self-normalising and needs no
+    cross-run slack.
     """
     return report["obs_overhead_frac"] <= OBS_OVERHEAD_CEILING

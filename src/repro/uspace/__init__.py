@@ -7,13 +7,21 @@ is a dynamic separation volume that grows with the anticipated distance
 the drone will cover, scaled by the airspace risk factor R.
 """
 
-from repro.uspace.bubble import inner_bubble_radius, OuterBubble, BubblePair
+from repro.uspace.bubble import (
+    TRACKING_INTERVAL_S,
+    inner_bubble_radius,
+    max_track_distance_m,
+    OuterBubble,
+    BubblePair,
+)
 from repro.uspace.monitor import BubbleMonitor, ViolationCounts
 from repro.uspace.conflicts import ConflictDetector, Conflict
 from repro.uspace.airspace import OperatingArea, ContainmentMonitor, DEFAULT_CEILING_M
 
 __all__ = [
+    "TRACKING_INTERVAL_S",
     "inner_bubble_radius",
+    "max_track_distance_m",
     "OuterBubble",
     "BubblePair",
     "BubbleMonitor",

@@ -23,6 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Seconds between two tracking instances: U-space surveillance tracks
+#: every drone at 1 Hz.
+TRACKING_INTERVAL_S = 1.0
+
+
+def max_track_distance_m(top_speed_m_s: float) -> float:
+    """D_m of Eq. 1: the distance covered at top speed between two
+    tracking instances."""
+    return top_speed_m_s * TRACKING_INTERVAL_S
+
 
 def inner_bubble_radius(
     dimension_m: float, safety_distance_m: float, max_track_distance_m: float

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.missions.plan import MissionPlan, distance_to_polyline, route_polyline
-from repro.uspace.bubble import OuterBubble, inner_bubble_radius
+from repro.uspace.bubble import (
+    TRACKING_INTERVAL_S,
+    OuterBubble,
+    inner_bubble_radius,
+    max_track_distance_m,
+)
 
 
 @dataclass
@@ -44,22 +49,14 @@ class TrackingPoint:
 class BubbleMonitor:
     """Counts inner/outer violations for one drone's mission."""
 
-    def __init__(
-        self,
-        plan: MissionPlan,
-        tracking_interval_s: float = 1.0,
-        risk_factor: float = 1.0,
-    ):
-        if tracking_interval_s <= 0.0:
-            raise ValueError("tracking_interval_s must be positive")
+    def __init__(self, plan: MissionPlan, risk_factor: float = 1.0):
         self.plan = plan
-        self.tracking_interval_s = tracking_interval_s
         self.route = route_polyline(plan)
         drone = plan.drone
         self.inner_radius_m = inner_bubble_radius(
             drone.dimension_m,
             drone.safety_distance_m,
-            drone.max_distance_per_track_m(tracking_interval_s),
+            max_track_distance_m(drone.top_speed_m_s),
         )
         self.outer_bubble = OuterBubble(self.inner_radius_m, risk_factor)
         self.counts = ViolationCounts()
@@ -81,7 +78,7 @@ class BubbleMonitor:
         """Process a tracking instance if one is due; return its record."""
         if time_s + 1e-9 < self._next_track_time:
             return None
-        self._next_track_time = time_s + self.tracking_interval_s
+        self._next_track_time = time_s + TRACKING_INTERVAL_S
 
         if self._prev_position is None:
             distance_covered = 0.0

@@ -99,3 +99,52 @@ def test_deep_copy_keeps_aliasing_and_flies_on_identically(configuration):
     assert clone.recorder.rows().tobytes() == original.recorder.rows().tobytes()
     if configuration == "observer":
         assert clone.obs.blackbox.rows().tobytes() == original.obs.blackbox.rows().tobytes()
+
+
+#: What one stage of a step hands the next, kept on the vehicle.
+INTER_STAGE = (
+    "_t",
+    "_samples",
+    "_imu_sample",
+    "_est_tilt",
+    "_health",
+    "_command",
+    "_collective",
+    "_q_sp",
+    "_rate_sp",
+    "_torque",
+    "_motors",
+)
+
+
+@pytest.mark.parametrize("configuration", ["single-imu", "imu-bank", "observer"])
+@pytest.mark.parametrize(
+    "after", ["vote", "fuse_mag", "command", "attitude_loop", "mix", "advance_physics"]
+)
+def test_deep_copy_between_stages_flies_on_identically(configuration, after):
+    """A copy taken mid-step, with the inter-stage values in flight,
+    finishes the step and flies on to the same bits."""
+    original = flying_vehicle(configuration)
+    names = [stage.__name__ for stage in UavSystem.STAGES]
+    split = names.index(after) + 1
+    for stage in UavSystem.STAGES[:split]:
+        stage(original)
+    clone = copy.deepcopy(original)
+    assert shared_pairs(clone) >= shared_pairs(original)
+    for name in INTER_STAGE:
+        value = getattr(original, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(clone, name), value), name
+    # The idle command stays shared with the vehicle's idle buffer.
+    assert (clone._motors is clone._idle_motors) == (original._motors is original._idle_motors)
+    for stage in UavSystem.STAGES[split:]:
+        stage(original)
+        stage(clone)
+    assert digest(clone, 300) == digest(original, 300)
+
+
+def test_inter_stage_values_exist_before_the_first_step():
+    system = flying_vehicle("single-imu")
+    fresh = UavSystem(system.plan)
+    for name in INTER_STAGE:
+        assert hasattr(fresh, name), name

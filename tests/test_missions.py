@@ -14,6 +14,7 @@ from repro.missions import (
 )
 from repro.missions.plan import distance_to_polyline
 from repro.missions.spec import DroneSpec, kmh
+from repro.uspace import max_track_distance_m
 
 
 def test_kmh_conversion():
@@ -32,10 +33,8 @@ def test_drone_spec_validation():
 
 def test_max_distance_per_track():
     drone = DroneSpec(1, "x", cruise_speed_m_s=5.0, top_speed_m_s=7.0, mass_kg=1.5)
-    assert drone.max_distance_per_track_m(1.0) == 7.0
-    assert drone.max_distance_per_track_m(0.5) == 3.5
-    with pytest.raises(ValueError):
-        drone.max_distance_per_track_m(0.0)
+    # D_m: top speed over the fixed 1 s between tracking instances.
+    assert max_track_distance_m(drone.top_speed_m_s) == 7.0
 
 
 def test_mission_plan_needs_two_waypoints():

@@ -47,3 +47,18 @@ def test_paired_overhead_is_the_cost_ratio(monkeypatch, enabled_cost):
     assert overhead == pytest.approx(enabled_cost - 1.0)
     assert disabled_rate == pytest.approx(1e3)
     assert enabled_rate == pytest.approx(1e3 / enabled_cost)
+
+
+def test_verdict_reads_the_median_of_independent_estimates(monkeypatch):
+    """One wild estimate moves neither the reported overhead nor the
+    verdict; the report lists every estimate."""
+    monkeypatch.setattr(bench, "WARMUP_STEPS", 0)
+    monkeypatch.setattr(bench, "ESTIMATES", 5)
+    draws = iter([0.30, 0.02, -0.20, 0.03, 0.01])
+    monkeypatch.setattr(
+        bench, "_paired_overhead", lambda *_: (1000.0, 1000.0, next(draws))
+    )
+    report = bench.run_bench()
+    assert report["obs_overhead_frac"] == 0.02
+    assert report["obs_overhead_estimates"] == [0.30, 0.02, -0.20, 0.03, 0.01]
+    assert bench.check_obs_overhead(report)

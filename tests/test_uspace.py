@@ -12,6 +12,7 @@ from repro.uspace import (
     Conflict,
     ConflictDetector,
     OuterBubble,
+    TRACKING_INTERVAL_S,
     inner_bubble_radius,
 )
 
@@ -97,7 +98,7 @@ def make_plan():
 
 
 def test_monitor_inner_radius_from_eq1():
-    mon = BubbleMonitor(make_plan(), tracking_interval_s=1.0)
+    mon = BubbleMonitor(make_plan())
     # D_m = 5 m/s * 1 s = 5 > D_s = 1.5 -> inner = 0.6 + 5 = 5.6.
     assert mon.inner_radius_m == pytest.approx(5.6)
 
@@ -114,7 +115,8 @@ def test_monitor_counts_violations_beyond_radius():
 
 
 def test_monitor_respects_tracking_interval():
-    mon = BubbleMonitor(make_plan(), tracking_interval_s=1.0)
+    mon = BubbleMonitor(make_plan())
+    assert TRACKING_INTERVAL_S == 1.0
     assert mon.maybe_track(0.0, np.zeros(3), 0.0) is not None
     assert mon.maybe_track(0.5, np.zeros(3), 0.0) is None
     assert mon.maybe_track(1.0, np.zeros(3), 0.0) is not None
@@ -138,7 +140,7 @@ def test_monitor_history_records_radii():
 
 def test_monitor_validation():
     with pytest.raises(ValueError):
-        BubbleMonitor(make_plan(), tracking_interval_s=0.0)
+        BubbleMonitor(make_plan(), risk_factor=0.5)
 
 
 # ------------------------------------------------------------ Conflicts
