@@ -163,7 +163,7 @@ class FlightRecorder:
             *ekf.position_ned.tolist(),
             *ekf.velocity_ned.tolist(),
             *ekf.quaternion.tolist(),
-            *system._last_gyro.tolist(),
+            *system._imu_sample.gyro.tolist(),
             *system.physics.airframe.motors.effective_commands.tolist(),
             system._last_attitude_std,
             self._phase_code,

@@ -1304,7 +1304,7 @@ def naive_record_row(system, time_s: float, fault_active: bool) -> np.ndarray:
             ekf.position_ned,
             ekf.velocity_ned,
             ekf.quaternion,
-            system._last_gyro,
+            system._imu_sample.gyro,
             system.physics.airframe.motors.effective_commands,
         ),
         out=row[1:31],
@@ -1331,7 +1331,7 @@ def test_packed_recorder_row_matches_numpy(values, fault_active, primary):
     ekf = system.ekf
     sources = (
         truth.position_ned, truth.velocity_ned, truth.quaternion, truth.angular_rate_body,
-        ekf.position_ned, ekf.velocity_ned, ekf.quaternion, system._last_gyro,
+        ekf.position_ned, ekf.velocity_ned, ekf.quaternion, system._imu_sample.gyro,
         system.physics.airframe.motors.effective_commands,
     )
     start = 1

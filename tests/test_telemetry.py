@@ -41,7 +41,7 @@ def fake_system(est=(1.0, 2.0, -15.0), truth=(1.0, 2.0, -15.0),
             velocity_ned=np.zeros(3),
             quaternion=np.array([1.0, 0.0, 0.0, 0.0]),
         ),
-        _last_gyro=np.zeros(3),
+        _imu_sample=Stub(gyro=np.zeros(3)),
         _last_attitude_std=0.01,
         commander=Stub(phase=Stub(value=phase)),
         failsafe=Stub(state=Stub(value=failsafe)),
