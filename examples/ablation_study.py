@@ -10,9 +10,14 @@ Shows how much each mechanism matters:
 * the bubble risk factor R (Eq. 3).
 
 Run: ``python examples/ablation_study.py [--which all]``
+
+Exits non-zero when an on/off ablation points the wrong way: turning
+the fusion reset off must not raise completion, and turning confidence
+scheduling off must lower it.
 """
 
 import argparse
+import sys
 
 from repro.core.ablations import (
     confidence_scheduling_ablation,
@@ -32,15 +37,41 @@ SWEEPS = {
 }
 
 
+#: The direction each on/off ablation must show: a finding and a test
+#: on the completion % with the mechanism on and off.
+DIRECTIONS = {
+    "reset": (
+        "disabling the fusion reset does not raise completion",
+        lambda on, off: off <= on,
+    ),
+    "confidence": (
+        "disabling confidence scheduling lowers completion",
+        lambda on, off: on > off,
+    ),
+}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--which", choices=["all", *SWEEPS], default="all")
     args = parser.parse_args()
 
     chosen = SWEEPS if args.which == "all" else {args.which: SWEEPS[args.which]}
+    failed = []
     for key, (sweep, title) in chosen.items():
+        points = sweep()
         print()
-        print(render_ablation(sweep(), title))
+        print(render_ablation(points, title))
+        if key in DIRECTIONS:
+            finding, holds = DIRECTIONS[key]
+            on = next(p.completed_pct for p in points if p.value is True)
+            off = next(p.completed_pct for p in points if p.value is False)
+            mark = "PASS" if holds(on, off) else "FAIL"
+            print(f"  [{mark}] {finding}: {on:.1f}% on vs {off:.1f}% off")
+            if not holds(on, off):
+                failed.append(key)
+    if failed:
+        sys.exit(f"ablation direction reversed: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

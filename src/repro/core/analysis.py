@@ -8,8 +8,9 @@ Beyond the paper's three tables, this module provides:
   Sec. IV-B discusses qualitatively);
 * fault-severity ranking;
 * **shape checks** against the paper's published orderings
-  (:mod:`repro.core.paper_reference`), used by EXPERIMENTS.md and the
-  benches to state precisely which qualitative findings reproduce.
+  (:mod:`repro.core.paper_reference`): the one oracle for which
+  qualitative findings reproduce. EXPERIMENTS.md publishes their
+  rendering on the committed campaign verbatim.
 """
 
 from __future__ import annotations
@@ -133,8 +134,13 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
         "gold-baseline",
         "Gold runs complete 100% with zero bubble violations",
         lambda: bool(campaign.gold)
-        and all(r.completed and r.inner_violations == 0 for r in campaign.gold),
-        lambda: f"{sum(r.completed for r in campaign.gold)}/{len(campaign.gold)} completed",
+        and all(
+            r.completed and r.inner_violations == 0 and r.outer_violations == 0
+            for r in campaign.gold
+        ),
+        lambda: f"{sum(r.completed for r in campaign.gold)}/{len(campaign.gold)} completed, "
+        f"{sum(r.inner_violations for r in campaign.gold)} inner / "
+        f"{sum(r.outer_violations for r in campaign.gold)} outer violations",
     )
 
     # 2. Longest injections complete least.
@@ -143,7 +149,8 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
         "30 s injections complete fewer missions than 2 s injections",
         lambda: completion_by_duration()[durations()[-1]]
         <= completion_by_duration()[durations()[0]],
-        lambda: f"completion by duration: {completion_by_duration()}",
+        lambda: f"completion by duration: "
+        f"{ {k: round(v, 1) for k, v in completion_by_duration().items()} }",
     )
 
     # 3. Even the shortest injection fails most missions (paper: 80%).
@@ -171,7 +178,21 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
         f"{ {k: round(v, 2) for k, v in viol().items()} }",
     )
 
-    # 5. Benign accel faults (Zeros/Noise) survive; violent ones do not.
+    # 5. Faults cut flights short: the longest injections end sooner
+    # than gold on average.
+    def mean_flight_s(group: list) -> float:
+        return sum(r.flight_duration_s for r in group) / len(group)
+
+    add(
+        "long-injections-cut-short",
+        "30 s injections end flights sooner than gold runs on average",
+        lambda: mean_flight_s(campaign.by_duration(durations()[-1]))
+        < mean_flight_s(campaign.gold),
+        lambda: f"mean flight {mean_flight_s(campaign.by_duration(durations()[-1])):.1f} s "
+        f"at {durations()[-1]} s vs gold {mean_flight_s(campaign.gold):.1f} s",
+    )
+
+    # 6. Benign accel faults (Zeros/Noise) survive; violent ones do not.
     def acc_benign() -> float:
         return max(_completion(campaign, "Acc Zeros"), _completion(campaign, "Acc Noise"))
 
@@ -189,7 +210,7 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
         lambda: f"benign {acc_benign():.1f}% vs violent {acc_violent():.1f}%",
     )
 
-    # 6. Gyro Zeros beats Gyro Min (the paper's Sec. IV-D observation).
+    # 7. Gyro Zeros beats Gyro Min (the paper's Sec. IV-D observation).
     add(
         "gyro-zeros-vs-min",
         "Zeros are better handled than Min for the gyrometer",
@@ -198,7 +219,35 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
         f"Gyro Min {_completion(campaign, 'Gyro Min'):.1f}%",
     )
 
-    # 7. Component criticality ordering: Acc < Gyro < IMU failure rates.
+    # 8. The violent gyro faults are near-total losses (paper: 0-2.5%).
+    def gyro_violent() -> dict[str, float]:
+        return {
+            label: _completion(campaign, label)
+            for label in ("Gyro Min", "Gyro Max", "Gyro Random")
+        }
+
+    add(
+        "gyro-violent-losses",
+        "Gyro Min, Max and Random each complete at most 20% of missions",
+        lambda: max(gyro_violent().values()) <= 20.0,
+        lambda: " / ".join(f"{k} {v:.1f}%" for k, v in gyro_violent().items()),
+    )
+
+    # 9. The most survivable gyro fault flatlines the stream (Zeros or
+    # Freeze), rather than injecting a wrong rate.
+    def best_gyro() -> tuple[str, float]:
+        labels = [_fault_label(FaultTarget.GYRO, ft) for ft in FaultType]
+        best = max(labels, key=lambda label: _completion(campaign, label))
+        return best, _completion(campaign, best)
+
+    add(
+        "gyro-best-row",
+        "The most survivable gyro fault is Zeros or Freeze",
+        lambda: best_gyro()[0] in ("Gyro Zeros", "Gyro Freeze"),
+        lambda: f"best gyro row {best_gyro()[0]} at {best_gyro()[1]:.1f}%",
+    )
+
+    # 10. Component criticality ordering: Acc < Gyro < IMU failure rates.
     add(
         "component-ordering",
         "Failure rates order Acc < Gyro < IMU (paper: 73% / 87.5% / 96%)",
@@ -210,7 +259,15 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
         f"IMU {_component_failure(campaign, 'imu'):.1f}%",
     )
 
-    # 8. IMU faults include total-loss rows (0% completion).
+    # 11. Full-IMU faults fail nearly every mission (paper: 96%).
+    add(
+        "imu-failure-rate",
+        "Full-IMU faults fail more than 90% of missions (paper: 96%)",
+        lambda: _component_failure(campaign, "imu") > 90.0,
+        lambda: f"IMU {_component_failure(campaign, 'imu'):.1f}% failed",
+    )
+
+    # 12. IMU faults include total-loss rows (0% completion).
     def imu_rows() -> list[float]:
         return [
             _completion(campaign, _fault_label(FaultTarget.IMU, ft)) for ft in FaultType
@@ -223,7 +280,7 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
         lambda: f"IMU per-fault completion: {[round(p, 1) for p in imu_rows()]}",
     )
 
-    # 9. Accelerometer faults produce the heaviest violation counts
+    # 13. Accelerometer faults produce the heaviest violation counts
     # (paper Sec. IV-D: Acc pushes drones out of their bubbles fastest).
     def avg_inner(target: str) -> float:
         group = campaign.by_target(target)

@@ -301,14 +301,18 @@ def tiny_real_specs():
     )
 
 
-def test_smoke_kill_midway_then_resume_matches_uninterrupted(tmp_path):
+@pytest.fixture(scope="module")
+def serial_campaign():
+    """The tiny real campaign flown once, serially and uninterrupted."""
+    return run_campaign(CONFIG, specs=tiny_real_specs())
+
+
+def test_smoke_kill_midway_then_resume_matches_uninterrupted(tmp_path, serial_campaign):
     """Tier-1 smoke: run a tiny real campaign, kill it after one case,
     resume from the journal, and require the merged result to be
     bit-identical to an uninterrupted run."""
     specs = tiny_real_specs()
     path = tmp_path / "smoke.jsonl"
-
-    uninterrupted = run_campaign(CONFIG, specs=specs)
 
     SMOKE_STATE.update(completed=0, armed=True)
     with pytest.raises(KeyboardInterrupt):
@@ -326,19 +330,19 @@ def test_smoke_kill_midway_then_resume_matches_uninterrupted(tmp_path):
     resumed = run_campaign(
         CONFIG, specs=specs, checkpoint_path=str(path), resume=True
     )
-    assert resumed.results == uninterrupted.results
+    assert resumed.results == serial_campaign.results
 
 
 # ------------------------------------- serial / parallel equivalence
 
 
-def test_serial_and_parallel_campaigns_bit_identical():
+def test_serial_and_parallel_campaigns_bit_identical(serial_campaign):
     """run_campaign(workers=1) and run_campaign(workers=2) must agree on
     the entire CampaignResult, not just individual rows (the module
     docstring promises parallelism cannot change results)."""
-    specs = tiny_real_specs()
-    serial = run_campaign(dataclasses.replace(CONFIG, workers=1), specs=specs)
-    parallel = run_campaign(dataclasses.replace(CONFIG, workers=2), specs=specs)
+    assert CONFIG.workers == 1
+    serial = serial_campaign
+    parallel = run_campaign(dataclasses.replace(CONFIG, workers=2), specs=tiny_real_specs())
     assert serial.results == parallel.results
     assert serial.specs == parallel.specs
     assert serial.scale == parallel.scale

@@ -1,5 +1,8 @@
 """Unit tests for analysis utilities, persistence, and paper reference data."""
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro.core.analysis import (
@@ -97,10 +100,52 @@ def test_shape_checks_pass_on_paper_shaped_campaign():
     assert by_name["acc-heaviest-violations"].holds
 
 
+def _replace_where(campaign, pred, **changes):
+    """``campaign`` with ``changes`` applied to every row ``pred`` picks."""
+    rows = [dataclasses.replace(r, **changes) if pred(r) else r for r in campaign.results]
+    return dataclasses.replace(campaign, results=rows)
+
+
+COMPLETED = {"outcome": MissionOutcome.COMPLETED}
+
+#: One campaign per shape check that violates exactly that check's finding.
+VIOLATIONS = {
+    "gold-baseline": (lambda r: r.is_gold, {"outer_violations": 1}),
+    "long-injections-cut-short": (
+        lambda r: r.injection_duration_s == 30.0,
+        {"flight_duration_s": 500.0},
+    ),
+    "gyro-violent-losses": (lambda r: r.fault_label == "Gyro Random", COMPLETED),
+    "gyro-best-row": (lambda r: r.fault_label == "Gyro Noise", COMPLETED),
+    "imu-failure-rate": (lambda r: r.fault_label == "IMU Max", COMPLETED),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIOLATIONS))
+def test_shape_check_fails_when_its_finding_is_violated(name):
+    pred, changes = VIOLATIONS[name]
+    holds = {c.name: c.holds for c in check_paper_shapes(synthetic_campaign())}
+    assert holds[name]
+    violated = check_paper_shapes(_replace_where(synthetic_campaign(), pred, **changes))
+    assert {c.name: c.holds for c in violated}[name] is False
+
+
 def test_render_shape_checks():
     text = render_shape_checks(check_paper_shapes(synthetic_campaign()))
     assert "qualitative findings reproduced" in text
     assert "[PASS]" in text
+
+
+def test_experiments_md_publishes_the_shape_checks_of_the_committed_campaign():
+    """EXPERIMENTS.md's shape-check verdicts are the oracle's own
+    rendering on the committed campaign, not a hand-kept copy."""
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "EXPERIMENTS.md").read_text()
+    section = text.split("## Automated shape checks", 1)[1].split("\n## ", 1)[0]
+    published = section.split("```text\n", 1)[1].split("```", 1)[0]
+    checks = check_paper_shapes(load_campaign(root / "results" / "campaign_scale015.json"))
+    assert len(checks) == 13 and all(c.holds for c in checks)
+    assert published == render_shape_checks(checks) + "\n"
 
 
 # ------------------------------------------------------------------ io

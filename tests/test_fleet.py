@@ -229,11 +229,23 @@ def test_mitigated_observed_campaign_fleet_equals_cases_flown_alone(tmp_path):
         assert a.read_bytes() == b.read_bytes(), a.name
 
 
+#: The mission-2 slice that the retry, resume and timeout tests fly.
+SLICE = dataclasses.replace(TINY, mission_ids=(2,))
+
+
+@pytest.fixture(scope="module")
+def slice_reference() -> list[ExperimentResult]:
+    """The first eight cases of ``SLICE``, each flown alone. The retry,
+    resume and timeout tests fly a prefix of these cases and compare."""
+    return run_campaign(SLICE, matrix(SLICE)[:8], runner=alone).results
+
+
 @pytest.mark.parametrize("failures", [1, 2], ids=["retried", "harness-error"])
-def test_raising_case_is_retried_or_becomes_a_harness_error(monkeypatch, failures):
-    config = dataclasses.replace(TINY, mission_ids=(2,))
-    specs = matrix(config)[:5]
-    reference = run_campaign(config, specs, runner=alone).results
+def test_raising_case_is_retried_or_becomes_a_harness_error(
+    monkeypatch, failures, slice_reference
+):
+    specs = matrix(SLICE)[:5]
+    reference = slice_reference[:5]
     victim = specs[3]
     left = [failures]
 
@@ -245,7 +257,7 @@ def test_raising_case_is_retried_or_becomes_a_harness_error(monkeypatch, failure
 
     fail_stage(monkeypatch, "rate_loop", fails, RuntimeError("injected stage failure"))
     policy = RetryPolicy(max_attempts=2)
-    rows = run_campaign(config, specs, retry_policy=policy).results
+    rows = run_campaign(SLICE, specs, retry_policy=policy).results
     for row, expected in zip(rows, reference):
         if row.experiment_id != victim.experiment_id:
             assert row == expected
@@ -257,9 +269,8 @@ def test_raising_case_is_retried_or_becomes_a_harness_error(monkeypatch, failure
         assert "injected stage failure" in row.error
 
 
-def test_journal_resumes_after_an_interrupted_fleet(monkeypatch, tmp_path):
-    config = dataclasses.replace(TINY, mission_ids=(2,))
-    specs = matrix(config)[:8]
+def test_journal_resumes_after_an_interrupted_fleet(monkeypatch, tmp_path, slice_reference):
+    specs = matrix(SLICE)[:8]
     journal_path = str(tmp_path / "journal.jsonl")
     gold = next(s for s in specs if s.fault is None)
     # Interrupt the campaign while the gold case still flies, after the
@@ -271,17 +282,17 @@ def test_journal_resumes_after_an_interrupted_fleet(monkeypatch, tmp_path):
         KeyboardInterrupt(),
     )
     with pytest.raises(KeyboardInterrupt):
-        run_campaign(config, specs, checkpoint_path=journal_path)
+        run_campaign(SLICE, specs, checkpoint_path=journal_path)
     monkeypatch.undo()
 
     _, partial = CampaignJournal(journal_path).load()
     assert 0 < len(partial) < len(specs)
     assert gold.experiment_id not in partial
-    resumed = run_campaign(config, specs, checkpoint_path=journal_path, resume=True)
-    assert resumed.results == run_campaign(config, specs).results
+    resumed = run_campaign(SLICE, specs, checkpoint_path=journal_path, resume=True)
+    assert resumed.results == slice_reference
 
 
-def test_per_case_timeout_flies_one_case_at_a_time(monkeypatch):
+def test_per_case_timeout_flies_one_case_at_a_time(monkeypatch, slice_reference):
     calls: list[int] = []
     run_with_timeout = campaign.run_with_timeout
 
@@ -290,20 +301,18 @@ def test_per_case_timeout_flies_one_case_at_a_time(monkeypatch):
         return run_with_timeout(fn, args, timeout_s)
 
     monkeypatch.setattr(campaign, "run_with_timeout", counting)
-    config = dataclasses.replace(TINY, mission_ids=(2,))
-    specs = matrix(config)[:3]
+    specs = matrix(SLICE)[:3]
     policy = RetryPolicy(max_attempts=1, timeout_s=120.0)
-    rows = run_campaign(config, specs, retry_policy=policy).results
+    rows = run_campaign(SLICE, specs, retry_policy=policy).results
     assert calls == [s.experiment_id for s in specs]
-    assert rows == run_campaign(config, specs).results
+    assert rows == slice_reference[:3]
 
 
 def test_fleet_campaign_traces_fleet_spans_and_case_points(monkeypatch):
-    config = dataclasses.replace(TINY, mission_ids=(2,))
-    specs = matrix(config)[:3]
+    specs = matrix(SLICE)[:3]
     monkeypatch.setattr(campaign, "FLEET_SIZE", 2)
     obs = Observer(registry=MetricsRegistry(), trace=TraceCollector())
-    run_campaign(config, specs, obs=obs)
+    run_campaign(SLICE, specs, obs=obs)
     events = obs.trace.events
     begins = [e for e in events if e.kind == "B"]
     assert [b.name for b in begins] == ["campaign", "fleet", "fleet"]

@@ -428,10 +428,16 @@ TINY = CampaignConfig(
 def test_all_scope_campaign_matches_pre_redundancy_golden():
     """The acceptance criterion: with the default ALL scope and no
     mitigation, the campaign is bit-identical to the code before the
-    redundancy subsystem existed (golden captured at that commit)."""
+    redundancy subsystem existed (golden captured at that commit).
+    Comparing every pinned field on every run also keeps the campaign
+    deterministic."""
     golden = json.loads(GOLDEN.read_text())
     campaign = run_campaign(TINY)
-    assert len(campaign.results) == len(golden["results"])
+    # 1 mission: 1 gold + 21 faults x 1 duration.
+    assert len(campaign.results) == len(golden["results"]) == 22
+    assert len(campaign.gold) == 1 and campaign.gold[0].completed
+    assert len(campaign.faulty) == 21
+    assert len({r.fault_label for r in campaign.faulty}) == 21
     for result, want in zip(campaign.results, golden["results"]):
         got = {
             "experiment_id": result.experiment_id,
