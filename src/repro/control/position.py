@@ -66,14 +66,24 @@ class PositionController:
         cruise_speed_m_s: float | None = None,
     ) -> np.ndarray:
         """P position loop with per-axis envelope limits."""
-        vel_sp = self._vel_sp
-        np.subtract(position_sp_ned, position_ned, out=vel_sp)
-        np.multiply(vel_sp, POS_P, out=vel_sp)
+        # Float kernel up to the horizontal clamp, whose norm stays the
+        # array dot (DESIGN.md §11): `(sp - p) * POS_P + ff`.
+        s0, s1, s2 = position_sp_ned.tolist()
+        p0, p1, p2 = position_ned.tolist()
+        v0 = (s0 - p0) * POS_P
+        v1 = (s1 - p1) * POS_P
+        v2 = (s2 - p2) * POS_P
         if feedforward_ned is not None:
-            vel_sp += feedforward_ned
+            f0, f1, f2 = feedforward_ned.tolist()
+            v0 = v0 + f0
+            v1 = v1 + f1
+            v2 = v2 + f2
+        vel_sp = self._vel_sp
+        vel_sp[0] = v0
+        vel_sp[1] = v1
+        vel_sp[2] = clamp(v2, -MAX_SPEED_UP_M_S, MAX_SPEED_DOWN_M_S)
         max_xy = cruise_speed_m_s if cruise_speed_m_s is not None else self.max_speed_xy_m_s
         _clamp_norm_inplace(vel_sp[:2], max_xy)
-        vel_sp[2] = clamp(float(vel_sp[2]), -MAX_SPEED_UP_M_S, MAX_SPEED_DOWN_M_S)
         return vel_sp
 
     def acceleration_setpoint(

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from repro.mathutils import (
+    clip_float,
     quat_from_axis_angle,
     quat_from_axis_angle_into,
     quat_integrate_into,
@@ -42,6 +43,9 @@ _V = slice(3, 6)
 _P = slice(6, 9)
 _BG = slice(9, 12)
 _BA = slice(12, 15)
+#: Flat indices of the covariance diagonal entries that take process
+#: noise: attitude, velocity, gyro bias, accel bias (not position).
+_Q_FLAT = np.array([0, 1, 2, 3, 4, 5, 9, 10, 11, 12, 13, 14]) * 16
 
 # Process noise densities and the bias random walks.
 GYRO_NOISE = 0.03
@@ -148,7 +152,10 @@ class Ekf:
         self._dx = np.zeros(15)
         self._outer = np.zeros((15, 15))
         self._dq4 = np.zeros(4)
-        self._bias_tmp = np.zeros(3)
+        # The process-noise diagonal, written when the gyro noise or dt
+        # changes (`_q_key` is the pair it was written for).
+        self._q_diag = np.zeros(12)
+        self._q_key = (math.nan, math.nan)
         self._innov3 = np.zeros(3)
         self._pos_var = np.zeros(3)
         self._vel_var = np.full(3, 0.15**2)
@@ -276,17 +283,24 @@ class Ekf:
         cov = self.covariance
         phi.dot(cov, out=self._cov_tmp)
         self._cov_tmp.dot(phi.T, out=cov)
-        # Process noise on the attitude, velocity and bias diagonals.
-        q_th = (gyro_noise**2) * dt
-        q_v = (ACCEL_NOISE**2) * dt
-        q_bg = (GYRO_BIAS_WALK**2) * dt
-        q_ba = (ACCEL_BIAS_WALK**2) * dt
-        for i in range(3):
-            cov[i, i] += q_th
-            cov[3 + i, 3 + i] += q_v
-            cov[9 + i, 9 + i] += q_bg
-            cov[12 + i, 12 + i] += q_ba
+        # Process noise on the attitude, velocity and bias diagonals: one
+        # fancy-index add, element for element the item adds it replaced.
+        # The gemm above wrote `cov` through `out=`, which takes only a
+        # C-contiguous array, so the flat reshape is a view of it.
+        if gyro_noise != self._q_key[0] or dt != self._q_key[1]:
+            self._write_process_noise(gyro_noise, dt)
+        cov.reshape(-1)[_Q_FLAT] += self._q_diag
         self.time_s = imu.time_s
+
+    def _write_process_noise(self, gyro_noise: float, dt: float) -> None:
+        """Write the process-noise diagonal for ``gyro_noise`` and ``dt``."""
+        self._q_diag[:] = (
+            [(gyro_noise**2) * dt] * 3
+            + [(ACCEL_NOISE**2) * dt] * 3
+            + [(GYRO_BIAS_WALK**2) * dt] * 3
+            + [(ACCEL_BIAS_WALK**2) * dt] * 3
+        )
+        self._q_key = (gyro_noise, dt)
 
     def _write_phi_constants(self, dt: float) -> None:
         """Write the entries of Phi that depend on ``dt`` alone."""
@@ -500,14 +514,21 @@ class Ekf:
         quat_from_axis_angle_into(th, math.sqrt(float(th.dot(th))), self._dq4)
         quat_multiply_into(self.quaternion, self._dq4, self.quaternion)
         quat_normalize_into(self.quaternion, self.quaternion)
-        self.velocity_ned += dx[_V]
-        self.position_ned += dx[_P]
-        np.add(self.gyro_bias, dx[_BG], out=self._bias_tmp)
-        np.maximum(self._bias_tmp, -GYRO_BIAS_LIMIT, out=self.gyro_bias)
-        np.minimum(self.gyro_bias, GYRO_BIAS_LIMIT, out=self.gyro_bias)
-        np.add(self.accel_bias, dx[_BA], out=self._bias_tmp)
-        np.maximum(self._bias_tmp, -ACCEL_BIAS_LIMIT, out=self.accel_bias)
-        np.minimum(self.accel_bias, ACCEL_BIAS_LIMIT, out=self.accel_bias)
+        # Float kernel: `v += dx_v`, `p += dx_p` and `clip(b + dx_b, ±limit)`.
+        d = dx.tolist()
+        for state, i in ((self.velocity_ned, 3), (self.position_ned, 6)):
+            s0, s1, s2 = state.tolist()
+            state[0] = s0 + d[i]
+            state[1] = s1 + d[i + 1]
+            state[2] = s2 + d[i + 2]
+        for state, i, limit in (
+            (self.gyro_bias, 9, GYRO_BIAS_LIMIT),
+            (self.accel_bias, 12, ACCEL_BIAS_LIMIT),
+        ):
+            s0, s1, s2 = state.tolist()
+            state[0] = clip_float(s0 + d[i], -limit, limit)
+            state[1] = clip_float(s1 + d[i + 1], -limit, limit)
+            state[2] = clip_float(s2 + d[i + 2], -limit, limit)
 
     # ------------------------------------------------------------------
     # Accessors

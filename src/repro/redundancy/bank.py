@@ -4,7 +4,7 @@ The paper's vehicle carries a single IMU (its campaigns corrupt the
 stream *after* the driver, so redundancy could never help — see
 DESIGN.md section 10). The bank generalises that: an
 :class:`~repro.sensors.imu.ImuStack` of N members with independent
-noise/bias seeds, sampled in one stacked pass, each member behind its
+noise/bias seeds, sampled member by member, each member behind its
 own :class:`~repro.core.injector.SensorFaultInjector` so a
 :class:`~repro.core.faults.FaultScope` can corrupt any subset of
 members. A bank of one member with the default ALL scope is

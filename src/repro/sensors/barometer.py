@@ -9,6 +9,8 @@ import numpy as np
 RATE_HZ = 20.0
 NOISE_M = 0.15
 DRIFT_RATE_M_SQRT_S = 0.005
+#: Per-sample sigma of the drift walk at :data:`RATE_HZ`.
+DRIFT_SIGMA_M = DRIFT_RATE_M_SQRT_S * np.sqrt(1.0 / RATE_HZ)
 
 
 class Barometer:
@@ -25,7 +27,5 @@ class Barometer:
         if time_s + 1e-9 < self._next_sample_time:
             return None
         self._next_sample_time = time_s + self._interval
-        self._drift += self._rng.normal(
-            0.0, DRIFT_RATE_M_SQRT_S * np.sqrt(self._interval)
-        )
+        self._drift += self._rng.normal(0.0, DRIFT_SIGMA_M)
         return altitude_m + self._drift + self._rng.normal(0.0, NOISE_M)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.mathutils.numerics import clip_float
 from repro.sim.environment import GRAVITY_M_S2
 
 
@@ -49,48 +50,43 @@ class ImuSample:
 
 
 class ImuStack:
-    """``len(seeds)`` identically configured IMUs sampled in one stacked pass.
+    """``len(seeds)`` identically configured IMUs, sampled member by member.
 
     Member ``k`` owns generator ``default_rng(seeds[k])``. It draws its
     turn-on biases (accelerometer, then gyroscope) at construction and
-    one row of standard normals per tick, exactly as a lone IMU with
-    that seed would. The bias walk, white noise, and saturation then run
-    once over ``(N, 2, 3)`` arrays (member, triad, axis; triad 0 is the
-    accelerometer, 1 the gyroscope). Those ops are elementwise, so every
-    member's sample is bit-identical to sampling it on its own.
+    twelve standard normals per tick, exactly as a lone IMU with that
+    seed would. Each member's bias walk, white noise and saturation run
+    on Python floats, in the operation order of the numpy originals, so
+    every member's sample is bit-identical to sampling it on its own.
 
-    ``bias`` is the only copy of each member's drifting bias. No view of
-    a stacked array is stored anywhere: each tick's last step writes
-    member ``k``'s rows into its reused :class:`ImuSample`, so a deep
-    copy of the vehicle keeps no detached views.
+    ``bias[k]`` holds member ``k``'s six drifting biases as floats
+    (accelerometer x, y, z, then gyroscope x, y, z) and is the only copy
+    of them. Each tick writes member ``k``'s readings into its reused
+    :class:`ImuSample`; no array view is stored, so a deep copy of the
+    vehicle flies on bit-identically.
     """
 
     def __init__(self, seeds: Sequence[int]):
         if not seeds:
             raise ValueError("an IMU stack needs at least one member")
-        n = len(seeds)
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
-        self.bias = np.empty((n, 2, 3))
-        for k, rng in enumerate(self._rngs):
-            for t, sigma in enumerate((ACCEL_BIAS_SIGMA, GYRO_BIAS_SIGMA)):
-                self.bias[k, t] = rng.normal(0.0, sigma, size=3)
-
+        self.bias = [
+            rng.normal(0.0, ACCEL_BIAS_SIGMA, size=3).tolist()
+            + rng.normal(0.0, GYRO_BIAS_SIGMA, size=3).tolist()
+            for rng in self._rngs
+        ]
         # A member's per-tick draw holds, in the order a lone IMU draws
         # them: the accelerometer's bias walk and noise, then the
         # gyroscope's. One standard-normal draw replaces the per-triad
         # `rng.normal` calls: the Generator emits the same stream, and
-        # `sigma * z == normal(0, sigma)` bit-for-bit. Scaled, the draw
-        # is viewed as (triad, walk/noise, axis).
-        self._z = np.empty((n, 12))
-        self._scaled = np.zeros((n, 2, 2, 3))
-        self._scales = np.zeros(12)
-        self._scales_dt = math.nan
-        self._truth = np.zeros((2, 3))
-        self._out = np.zeros((n, 2, 3))
-        self._low = np.array([[-ACCEL_RANGE_M_S2], [-GYRO_RANGE_RAD_S]])
+        # `sigma * z == normal(0, sigma)` bit-for-bit.
+        self._z = np.empty(12)
+        self._walk_dt = math.nan
+        self._accel_walk = math.nan
+        self._gyro_walk = math.nan
         # Output samples, reused every tick: downstream consumers (voter,
         # injector, EKF, controllers) all read-or-copy within the tick.
-        self._samples = [ImuSample(0.0, np.zeros(3), np.zeros(3)) for _ in range(n)]
+        self._samples = [ImuSample(0.0, np.zeros(3), np.zeros(3)) for _ in self._rngs]
 
     def sample(
         self, time_s: float, specific_force_body: np.ndarray, angular_rate_body: np.ndarray, dt: float
@@ -100,33 +96,38 @@ class ImuStack:
         Returns the reused per-member samples, overwritten on the next
         call; copy one to keep it across ticks.
         """
-        if dt != self._scales_dt:
-            # Each column's sigma, computed as the per-triad scalar was.
-            self._scales[:] = (
-                [ACCEL_BIAS_INSTABILITY * math.sqrt(dt)] * 3
-                + [ACCEL_NOISE_DENSITY] * 3
-                + [GYRO_BIAS_INSTABILITY * math.sqrt(dt)] * 3
-                + [GYRO_NOISE_DENSITY] * 3
-            )
-            self._scales_dt = dt
+        if dt != self._walk_dt:
+            # Each walk's sigma, computed as the per-triad scalar was.
+            self._accel_walk = ACCEL_BIAS_INSTABILITY * math.sqrt(dt)
+            self._gyro_walk = GYRO_BIAS_INSTABILITY * math.sqrt(dt)
+            self._walk_dt = dt
+        accel_walk = self._accel_walk
+        gyro_walk = self._gyro_walk
+        f0, f1, f2 = specific_force_body.tolist()
+        r0, r1, r2 = angular_rate_body.tolist()
+        a_max = ACCEL_RANGE_M_S2
+        g_max = GYRO_RANGE_RAD_S
         z = self._z
-        for k, rng in enumerate(self._rngs):
-            rng.standard_normal(out=z[k])
-        scaled = self._scaled
-        np.multiply(z, self._scales, out=scaled.reshape(z.shape))
-
-        self.bias += scaled[:, :, 0]
-        truth = self._truth
-        truth[0] = specific_force_body
-        truth[1] = angular_rate_body
-        out = self._out
-        np.add(truth, self.bias, out=out)
-        out += scaled[:, :, 1]
-        np.maximum(out, self._low, out=out)
-
-        # The upper clamp writes member k's rows straight into its sample.
-        for k, sample in enumerate(self._samples):
+        for rng, bias, sample in zip(self._rngs, self.bias, self._samples):
+            rng.standard_normal(out=z)
+            w0, w1, w2, n0, n1, n2, v0, v1, v2, m0, m1, m2 = z.tolist()
+            b0, b1, b2, c0, c1, c2 = bias
+            # Bias walk: `bias += sigma * z`.
+            b0 = b0 + w0 * accel_walk
+            b1 = b1 + w1 * accel_walk
+            b2 = b2 + w2 * accel_walk
+            c0 = c0 + v0 * gyro_walk
+            c1 = c1 + v1 * gyro_walk
+            c2 = c2 + v2 * gyro_walk
+            bias[:] = (b0, b1, b2, c0, c1, c2)
+            # `clip(truth + bias + sigma * z, -range, range)`.
             sample.time_s = time_s
-            np.minimum(out[k, 0], ACCEL_RANGE_M_S2, out=sample.accel)
-            np.minimum(out[k, 1], GYRO_RANGE_RAD_S, out=sample.gyro)
+            accel = sample.accel
+            accel[0] = clip_float(f0 + b0 + n0 * ACCEL_NOISE_DENSITY, -a_max, a_max)
+            accel[1] = clip_float(f1 + b1 + n1 * ACCEL_NOISE_DENSITY, -a_max, a_max)
+            accel[2] = clip_float(f2 + b2 + n2 * ACCEL_NOISE_DENSITY, -a_max, a_max)
+            gyro = sample.gyro
+            gyro[0] = clip_float(r0 + c0 + m0 * GYRO_NOISE_DENSITY, -g_max, g_max)
+            gyro[1] = clip_float(r1 + c1 + m1 * GYRO_NOISE_DENSITY, -g_max, g_max)
+            gyro[2] = clip_float(r2 + c2 + m2 * GYRO_NOISE_DENSITY, -g_max, g_max)
         return self._samples

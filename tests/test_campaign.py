@@ -16,14 +16,7 @@ from repro.core.figures import (
 from repro.flightstack.commander import MissionOutcome
 from repro.missions.plan import distance_to_polyline
 from repro.missions.valencia import valencia_missions
-
-
-TINY = CampaignConfig(
-    scale=0.1,
-    mission_ids=(2,),
-    durations_s=(2.0,),
-    injection_time_s=15.0,
-)
+from tests.configs import TINY
 
 
 def test_config_validation():

@@ -7,17 +7,14 @@ import json
 
 import pytest
 
-from repro.core.campaign import CampaignConfig, run_campaign, run_experiment
+from repro.core.campaign import run_campaign, run_experiment
 from repro.core.experiments import build_experiment_matrix
 from repro.core.faults import FaultTarget, FaultType
 from repro.core.io import CampaignJournal, JournalMismatchError
 from repro.core.resilience import campaign_fingerprint
 from repro.core.results import ExperimentResult, harness_error_result
 from repro.flightstack.commander import MissionOutcome
-
-CONFIG = CampaignConfig(
-    scale=0.1, mission_ids=(2,), durations_s=(2.0,), injection_time_s=15.0
-)
+from tests.configs import TINY as CONFIG
 
 
 def small_specs():

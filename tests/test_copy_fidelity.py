@@ -148,3 +148,26 @@ def test_inter_stage_values_exist_before_the_first_step():
     fresh = UavSystem(system.plan)
     for name in INTER_STAGE:
         assert hasattr(fresh, name), name
+
+
+def test_deep_copy_past_leg_one_keeps_its_own_leg_cache():
+    """A 0.15-scale vehicle copied after it has advanced past leg 1: the
+    copy's navigator holds its own leg cache (equal values, no array
+    shared with the original) and flies on to the same bits."""
+    system = UavSystem(valencia_missions(scale=0.15)[9])
+    system.start_run()
+    navigator = system.commander.navigator
+    while navigator.active_index < 2:
+        system.step()
+    clone = copy.deepcopy(system)
+    legs = navigator._legs
+    clone_legs = clone.commander.navigator._legs
+    assert len(clone_legs) == len(legs) > 3
+    for mine, theirs in zip(legs[1:], clone_legs[1:]):
+        for a, b in zip(mine, theirs):
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b)
+                assert not np.shares_memory(a, b)
+            else:
+                assert a == b
+    assert digest(clone, 300) == digest(system, 300)

@@ -24,10 +24,7 @@ from repro.core.resilience import (
 from repro.core.results import CampaignResult, ExperimentResult, harness_error_result
 from repro.core.tables import harness_error_note, table2_by_duration, table3_by_fault
 from repro.flightstack.commander import MissionOutcome
-
-CONFIG = CampaignConfig(
-    scale=0.1, mission_ids=(2,), durations_s=(2.0,), injection_time_s=15.0
-)
+from tests.configs import TINY as CONFIG
 
 
 def small_specs():

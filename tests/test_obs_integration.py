@@ -29,15 +29,9 @@ from repro.obs.__main__ import main as obs_main
 from repro.obs.trace import TraceCollector
 from repro.perf.fingerprint import GOLDEN_SPECS, replay_golden
 from repro.telemetry import load_recording
+from tests.configs import TINY
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_step_traces.json"
-
-TINY = CampaignConfig(
-    scale=0.1,
-    mission_ids=(2,),
-    durations_s=(2.0,),
-    injection_time_s=15.0,
-)
 
 
 # ------------------------------------------------------- bit-exactness

@@ -10,12 +10,16 @@ because the golden step traces pin the optimised step loop to the bit:
 * the float-kernel :class:`repro.control.mixer.Mixer` vs the allocating
   :func:`naive_mix`;
 * the in-place EKF scalar Kalman update vs the allocating
-  :func:`naive_scalar_update`;
+  :func:`naive_scalar_update`, and the float-kernel error injection vs
+  :func:`naive_inject_error`;
 * the float-kernel :meth:`repro.control.pid.Pid.update` vs the numpy
   :func:`naive_pid_update`;
+* the float-kernel position loop vs :func:`naive_velocity_setpoint`,
+  and :meth:`repro.flightstack.navigator.Navigator.update` with its leg
+  cache vs :func:`naive_navigator_update`;
 * the stacked :meth:`repro.redundancy.voter.Voter.update` vs the numpy
-  :func:`naive_vote`, and the stacked IMU pass vs each member through
-  the numpy :func:`naive_imu_sample`;
+  :func:`naive_vote`, and the IMU stack's per-member float kernel vs
+  each member through the numpy :func:`naive_imu_sample`;
 * the float-kernel physics step (wind, motors, airframe, rigid body and
   ground contact) vs :func:`naive_physics_step`, and the float-kernel
   :meth:`repro.estimation.ekf.Ekf.predict`, whose Phi keeps its
@@ -48,6 +52,7 @@ import repro.control.attitude as attitude_module
 import repro.control.mixer as mixer_module
 import repro.control.position as position_module
 import repro.estimation.ekf as ekf_module
+import repro.flightstack.navigator as navigator_module
 import repro.redundancy.voter as voter_module
 import repro.sensors.imu as imu_module
 import repro.sim.airframe as airframe_module
@@ -56,6 +61,7 @@ from repro.control.mixer import Mixer
 from repro.control.pid import Pid, PidParams
 from repro.control.position import _clamp_norm_inplace
 from repro.estimation.ekf import _BA, _BG, _P, _TH, _V, Ekf
+from repro.flightstack.navigator import Navigator, NavigatorOutput
 from repro.mathutils import (
     quat_conjugate,
     quat_conjugate_into,
@@ -77,6 +83,8 @@ from repro.mathutils import (
     quat_to_rotation_matrix_into,
 )
 from repro.mathutils import clamp as builtin_clamp
+from repro.missions import MissionPlan, Waypoint
+from repro.missions.spec import DroneSpec
 from repro.redundancy import MEMBER_SEED_STRIDE, RedundancyManager, Voter
 from repro.sensors.imu import ImuSample, ImuStack
 from repro.sim import (
@@ -325,6 +333,41 @@ def test_scalar_update_matches_reference(diag, quaternion, h, innovation, meas_v
     assert fast_ratio == slow_ratio
 
 
+ekf_values = st.floats(-2.0, 2.0) | edge_values
+
+
+@given(
+    unit_quats() | raw_quats(),
+    st.lists(ekf_values, min_size=12, max_size=12),
+    st.lists(ekf_values, min_size=15, max_size=15),
+)
+@settings(max_examples=300, deadline=None)
+def test_inject_error_matches_numpy_oracle(quaternion, state, dx):
+    """Float-kernel error injection == numpy body: NaN, +-inf and +-0 in
+    the state and the correction, both bias clamps engaged."""
+    fast = Ekf()
+    fast.quaternion = quaternion.copy()
+    for array, start in (
+        (fast.velocity_ned, 0),
+        (fast.position_ned, 3),
+        (fast.gyro_bias, 6),
+        (fast.accel_bias, 9),
+    ):
+        array[:] = state[start : start + 3]
+    slow = copy.deepcopy(fast)
+    dx = np.array(dx)
+    with np.errstate(all="ignore"):
+        try:
+            naive_inject_error(slow, dx)
+        except ValueError:  # math.sin of an infinite rotation angle
+            with pytest.raises(ValueError):
+                fast._inject_error(dx)
+            return
+        fast._inject_error(dx)
+    for name in ("quaternion", "velocity_ned", "position_ned", "gyro_bias", "accel_bias"):
+        assert _bits_or_both_nan(getattr(fast, name), getattr(slow, name)), name
+
+
 # ---------------------------------------------------------------------------
 # PID update
 # ---------------------------------------------------------------------------
@@ -542,6 +585,234 @@ def test_rate_setpoint_matches_numpy_oracle(q_estimate, q_setpoint, confidence):
         want = naive_rate_setpoint(AttitudeController(), q_estimate, q_setpoint, confidence)
         got = AttitudeController().rate_setpoint(q_estimate, q_setpoint, confidence)
     assert _bits_or_both_nan(got, want)
+
+
+def naive_velocity_setpoint(
+    ctrl: PositionController,
+    position_sp_ned,
+    position_ned,
+    feedforward_ned=None,
+    cruise_speed_m_s=None,
+):
+    """Numpy P position loop (pre-change ``velocity_setpoint`` body)."""
+    p = position_module
+    vel_sp = ctrl._vel_sp
+    np.subtract(position_sp_ned, position_ned, out=vel_sp)
+    np.multiply(vel_sp, p.POS_P, out=vel_sp)
+    if feedforward_ned is not None:
+        vel_sp += feedforward_ned
+    max_xy = cruise_speed_m_s if cruise_speed_m_s is not None else ctrl.max_speed_xy_m_s
+    _clamp_norm_inplace(vel_sp[:2], max_xy)
+    vel_sp[2] = builtin_clamp(float(vel_sp[2]), -p.MAX_SPEED_UP_M_S, p.MAX_SPEED_DOWN_M_S)
+    return vel_sp
+
+
+positions = st.floats(-200.0, 200.0) | edge_values
+
+
+@given(
+    st.lists(positions, min_size=3, max_size=3),
+    st.lists(positions, min_size=3, max_size=3),
+    st.none() | st.lists(st.floats(-20.0, 20.0) | edge_values, min_size=3, max_size=3),
+    st.none() | st.floats(0.0, 15.0) | st.sampled_from([0.0, math.inf]),
+)
+@settings(max_examples=300, deadline=None)
+def test_velocity_setpoint_matches_numpy_oracle(setpoint, position, feedforward, cruise):
+    """Float-kernel P loop == numpy body: both clamps, no feedforward,
+    the default speed limit, and NaN/inf/signed-zero inputs."""
+    setpoint, position = np.array(setpoint), np.array(position)
+    ff = None if feedforward is None else np.array(feedforward)
+    with np.errstate(all="ignore"):
+        want = naive_velocity_setpoint(PositionController(), setpoint, position, ff, cruise)
+        got = PositionController().velocity_setpoint(setpoint, position, ff, cruise)
+    assert _bits_or_both_nan(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Navigator
+# ---------------------------------------------------------------------------
+
+
+def naive_navigator(nav: Navigator) -> Navigator:
+    """A copy of ``nav`` with the pre-change work buffers attached."""
+    oracle = copy.deepcopy(nav)
+    oracle._prev0 = np.zeros(3)
+    oracle._leg = np.zeros(3)
+    oracle._dir = np.zeros(3)
+    return oracle
+
+
+def naive_navigator_update(nav, position_ned):
+    """Pre-change body of ``Navigator.update``."""
+    waypoints = nav.plan.waypoints
+    speed = nav.plan.drone.cruise_speed_m_s
+
+    if nav._done:
+        target = waypoints[-1].array
+        return NavigatorOutput(target, nav._zero3, nav._yaw_sp, speed)
+
+    target_wp = waypoints[nav._index]
+    target = target_wp.array
+    if nav._index > 0:
+        prev = waypoints[nav._index - 1].array
+    else:
+        np.copyto(nav._prev0, position_ned)
+        prev = nav._prev0
+
+    leg = nav._leg
+    np.subtract(target, prev, out=leg)
+    leg_len = math.sqrt(float(leg.dot(leg)))
+    np.subtract(target, position_ned, out=nav._tt)
+    dist_to_target = math.sqrt(float(nav._tt.dot(nav._tt)))
+
+    if leg_len > 1e-6:
+        np.subtract(position_ned, target, out=nav._rel)
+        overshot = float(nav._rel.dot(leg)) > 0.0
+    else:
+        overshot = False
+    if dist_to_target <= target_wp.acceptance_radius_m or overshot:
+        if nav._index + 1 < len(waypoints):
+            nav._index += 1
+            target_wp = waypoints[nav._index]
+            prev = waypoints[nav._index - 1].array
+            target = target_wp.array
+            np.subtract(target, prev, out=leg)
+            leg_len = math.sqrt(float(leg.dot(leg)))
+        else:
+            nav._done = True
+            return NavigatorOutput(target, nav._zero3, nav._yaw_sp, speed)
+
+    if leg_len < 1e-6:
+        carrot = target
+        direction = nav._zero3
+    else:
+        direction = nav._dir
+        np.divide(leg, leg_len, out=direction)
+        np.subtract(position_ned, prev, out=nav._rel)
+        along = float(nav._rel.dot(direction))
+        lookahead = max(2.0, speed * navigator_module.LOOKAHEAD_S)
+        carrot_dist = min(leg_len, along + lookahead)
+        carrot = nav._carrot
+        np.multiply(direction, max(0.0, carrot_dist), out=carrot)
+        carrot += prev
+
+    horizontal_sq = direction[0] ** 2 + direction[1] ** 2
+    if leg_len > 1e-6 and horizontal_sq > 0.25:
+        nav._yaw_sp = math.atan2(direction[1], direction[0])
+
+    np.subtract(target, position_ned, out=nav._tt)
+    remaining = math.sqrt(float(nav._tt.dot(nav._tt))) + nav._dist_after[nav._index]
+    speed = min(speed, max(1.0, 0.6 * remaining))
+    velocity_ff = nav._ff
+    np.multiply(direction, speed, out=velocity_ff)
+    return NavigatorOutput(carrot, velocity_ff, nav._yaw_sp, speed)
+
+
+def _nav_plan(points, radius=2.0, speed=4.0) -> MissionPlan:
+    drone = DroneSpec(1, "UAV-01", cruise_speed_m_s=speed, top_speed_m_s=speed * 1.4, mass_kg=1.5)
+    return MissionPlan(1, drone, [Waypoint(tuple(point), radius) for point in points])
+
+
+def _fly_navigators(plan, positions, copy_at=None) -> tuple[Navigator, list[int]]:
+    """Fly the float-kernel navigator and the numpy oracle over the same
+    positions, comparing every output; return the navigator and its
+    active index after each cycle."""
+    nav = Navigator(plan)
+    oracle = naive_navigator(nav)
+    indices = []
+    for i, position in enumerate(positions):
+        if i == copy_at:
+            nav = copy.deepcopy(nav)
+        position = np.array(position)
+        with np.errstate(all="ignore"):
+            want = naive_navigator_update(oracle, position)
+            got = nav.update(position)
+        assert _bits_or_both_nan(got.position_sp_ned, want.position_sp_ned)
+        assert _bits_or_both_nan(got.velocity_ff_ned, want.velocity_ff_ned)
+        assert _bits_or_both_nan([got.yaw_sp_rad], [want.yaw_sp_rad])
+        assert _bits_or_both_nan([got.cruise_speed_m_s], [want.cruise_speed_m_s])
+        assert (nav.active_index, nav.mission_done) == (oracle._index, oracle._done)
+        indices.append(nav.active_index)
+    return nav, indices
+
+
+@st.composite
+def routes(draw):
+    """A plan whose legs may be zero or 1e-6 long, and positions that
+    walk it: near the next waypoints (so the index advances and the
+    final waypoint is reached), along the route, anywhere, or at edge
+    values."""
+    coord = st.floats(-60.0, 60.0, allow_nan=False)
+    points = [draw(st.tuples(coord, coord, coord))]
+    for _ in range(draw(st.integers(1, 5))):
+        x, y, z = points[-1]
+        leg = draw(st.sampled_from(["free", "zero", "micro"]))
+        if leg == "free":
+            points.append(draw(st.tuples(coord, coord, coord)))
+        elif leg == "zero":
+            points.append((x, y, z))
+        else:
+            points.append((x, y, z + draw(st.sampled_from([1e-6, -1e-6, 5e-7, 2e-6]))))
+    plan = _nav_plan(points, draw(st.floats(0.0, 5.0)), draw(st.floats(0.5, 15.0)))
+    offset = st.floats(-3.0, 3.0, allow_nan=False)
+    positions = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["near", "near", "along", "any", "edge"]))
+        if kind == "near":
+            x, y, z = points[draw(st.integers(0, len(points) - 1))]
+            positions.append((x + draw(offset), y + draw(offset), z + draw(offset)))
+        elif kind == "along":
+            a, b = points[draw(st.integers(0, len(points) - 2)) :][:2]
+            f = draw(st.floats(-0.2, 1.2))
+            positions.append(tuple(u + f * (v - u) + draw(offset) for u, v in zip(a, b)))
+        elif kind == "any":
+            positions.append(draw(st.tuples(coord, coord, coord)))
+        else:
+            positions.append(tuple(draw(st.lists(coord | edge_values, min_size=3, max_size=3))))
+    return plan, positions, draw(st.integers(0, len(positions)))
+
+
+@given(routes())
+@settings(max_examples=300, deadline=None)
+def test_navigator_update_matches_numpy_oracle(route):
+    """Float-kernel navigator with its leg cache == numpy body, cycle
+    after cycle, including a deep copy between cycles."""
+    plan, positions, copy_at = route
+    _fly_navigators(plan, positions, copy_at)
+
+
+def test_navigator_oracle_covers_short_legs_advance_and_final_waypoint():
+    """A leg exactly 1e-6 long (its carrot is not its target), a
+    zero-length leg, a position abeam a waypoint (the overshoot dot is
+    exactly zero), advances by distance and by overshoot, the final
+    waypoint, and a deep copy mid-leg with the cache filled."""
+    points = [
+        (30.0, 0.0, -15.0),
+        (0.0, 0.0, -15.0),
+        (1e-6, 0.0, -15.0),  # leg exactly 1e-6 long
+        (1e-6, 0.0, -15.0),  # zero-length leg
+        (1e-6, 30.0, -15.0),
+    ]
+    plan = _nav_plan(points)
+    positions = [
+        (40.0, 5.0, -12.0),  # leg 0, from the vehicle
+        (31.0, 1.0, -15.0),  # reach waypoint 0
+        (15.0, 0.5, -15.0),  # mid leg 1: the copy is taken here
+        (0.0, 2.5, -15.0),  # abeam waypoint 1, outside its radius
+        (-6.0, 0.0, -15.0),  # overshoot leg 1, onto the 1e-6 leg
+        (-6.0, 0.0, -15.0),  # stay on it: carrot held at its start
+        (0.5, 0.0, -15.0),  # reach waypoint 2, onto the zero-length leg
+        (0.5, 0.0, -15.0),  # onto the last leg
+        (0.2, 12.0, -15.0),
+        (0.0, 29.0, -15.0),  # final waypoint
+        (0.0, 29.0, -15.0),  # done
+    ]
+    nav = Navigator(plan)
+    assert [entry and entry[1] for entry in nav._legs] == [None, 30.0, 1e-6, 0.0, 30.0]
+    assert nav._legs[2][2] is not None and nav._legs[3][2] is None
+    nav, indices = _fly_navigators(plan, positions, copy_at=2)
+    assert indices == [0, 1, 1, 1, 2, 2, 3, 4, 4, 4, 4]
+    assert nav.mission_done
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +1043,7 @@ imu_truths = st.floats(-400.0, 400.0) | edge_values
 
 
 @given(
-    st.integers(1, 4),
+    st.integers(1, 7),
     st.integers(0, 2**31 - 1),
     st.lists(
         st.tuples(
@@ -783,14 +1054,18 @@ imu_truths = st.floats(-400.0, 400.0) | edge_values
         min_size=1,
         max_size=5,
     ),
+    st.integers(0, 5),
 )
 @settings(max_examples=150, deadline=None)
-def test_imu_stack_matches_members_sampled_one_at_a_time(n, seed, ticks):
-    """The stacked pass == each member through the pre-change IMU, for a
-    changing dt, truth past both clamps, and NaN/inf/signed-zero truth."""
+def test_imu_stack_matches_members_sampled_one_at_a_time(n, seed, ticks, copy_at):
+    """The per-member float kernel == each member through the pre-change
+    IMU, for one to seven members, a changing dt, truth past both clamps,
+    NaN/inf/signed-zero truth, and a deep copy between ticks."""
     stack = ImuStack([seed + k * MEMBER_SEED_STRIDE for k in range(n)])
     alone = [naive_imu(seed + k * MEMBER_SEED_STRIDE) for k in range(n)]
     for tick, (force, rate, dt) in enumerate(ticks):
+        if tick == copy_at:
+            stack = copy.deepcopy(stack)
         force, rate = np.array(force), np.array(rate)
         with np.errstate(all="ignore"):
             got = stack.sample(tick * 0.01, force, rate, dt)
@@ -799,6 +1074,8 @@ def test_imu_stack_matches_members_sampled_one_at_a_time(n, seed, ticks):
                 assert got[k].time_s == want.time_s
                 assert _bits(got[k].accel) == _bits(want.accel)
                 assert _bits(got[k].gyro) == _bits(want.gyro)
+                bias = np.concatenate([imu.accelerometer.bias, imu.gyroscope.bias])
+                assert _bits(stack.bias[k]) == _bits(bias)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -1271,6 +1548,25 @@ def test_predict_matches_numpy_oracle(run):
         assert ekf.imu_stale_latched == oracle.imu_stale_latched
         for got, want in zip(_ekf_state(ekf), _ekf_state(oracle)):
             assert _bits_or_both_nan(got, want)
+
+
+def test_process_noise_follows_gyro_noise_and_dt():
+    """The cached process-noise diagonal is rewritten when a flatlined
+    gyro raises the noise (at the 20th repeat) or dt changes."""
+    ekf = Ekf()
+    oracle = naive_ekf(ekf)
+    imu = ImuSample(0.0, np.array([0.1, -0.2, -9.8]), np.array([0.01, 0.02, -0.03]))
+    noises = set()
+    for dt in [0.01] * 24 + [0.004, 0.01]:
+        naive_predict(oracle, imu, dt)
+        ekf.predict(imu, dt)
+        noises.add(ekf._q_key)
+        assert _bits(ekf.covariance) == _bits(oracle.covariance)
+    assert noises == {
+        (ekf_module.GYRO_NOISE, 0.01),
+        (0.8, 0.01),
+        (0.8, 0.004),
+    }
 
 
 def test_phi_constants_follow_dt():

@@ -44,6 +44,7 @@ from repro.redundancy import (
     Voter,
 )
 from repro.sensors.imu import ImuSample
+from tests.configs import TINY
 from tests.test_property_inplace_math import naive_imu, naive_imu_sample
 
 GOLDEN = Path(__file__).parent / "data" / "golden_tiny_campaign.json"
@@ -418,11 +419,6 @@ def test_reentering_isolation_resets_the_outcome():
 
 
 # -- End-to-end acceptance -------------------------------------------
-
-
-TINY = CampaignConfig(
-    scale=0.1, mission_ids=(2,), durations_s=(2.0,), injection_time_s=15.0
-)
 
 
 def test_all_scope_campaign_matches_pre_redundancy_golden():
