@@ -16,9 +16,9 @@ uninterrupted one with the same config and seed.
 
 Every case of a mission flies the same fault-free flight until its
 fault starts, so each process flies that prefix once and forks every
-case from a deep copy of it (:func:`run_experiment`; DESIGN.md §8). A
-serial campaign flies its cases as stage-major fleets
-(:func:`_execute_fleets`).
+case from a deep copy of it (:func:`_fly_forks`; DESIGN.md §8). A
+serial campaign flies its cases as stage-major fleets of that routine,
+and :func:`run_experiment` is its one-case call.
 
 The ``scale`` knob shrinks mission geometry (and proportionally the
 injection time) so the full 850-case matrix can run in CI-sized time
@@ -152,12 +152,14 @@ def run_experiment(spec: ExperimentSpec, config: CampaignConfig) -> ExperimentRe
     deep copy of the snapshot gets the case's fault armed and its black
     box named, then flies on to the verdict. The row equals that of a
     fresh ``UavSystem(plan, fault=spec.fault).run()``
-    (``tests/test_campaign_fork.py``). This is the one-vehicle fleet of
-    a serial campaign's :func:`_execute_fleets`.
+    (``tests/test_campaign_fork.py``). This is the one-case fleet of
+    :func:`_fly_forks`, which leaves the snapshot in the slot; what the
+    case raised is re-raised.
     """
-    system = _fork(spec, config, copy.deepcopy(_prefix_snapshot(spec, config)))
-    mission_result = system.finish_run()
-    return _to_result(spec, mission_result, mitigated=config.mitigation)
+    ((_, outcome),) = _fly_forks([spec], config, keep=prefix_key(spec, config))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return _to_result(spec, outcome, mitigated=config.mitigation)
 
 
 def _fork(spec: ExperimentSpec, config: CampaignConfig, system: UavSystem) -> UavSystem:
@@ -197,19 +199,83 @@ def prefix_key(spec: ExperimentSpec, config: CampaignConfig) -> PrefixKey:
     return (config, spec.mission_id, start_s)
 
 
-def _prefix_snapshot(spec: ExperimentSpec, config: CampaignConfig) -> UavSystem:
-    """The fault-free vehicle flown up to ``spec``'s fault start
-    (:meth:`UavSystem.fly_until`), from the slot or flown now."""
+def _fly_forks(
+    specs: list[ExperimentSpec], config: CampaignConfig, keep: PrefixKey | None
+) -> Iterator[tuple[ExperimentSpec, MissionResult | Exception]]:
+    """Fly ``specs`` as one fleet; yield each case's outcome as it ends.
+
+    The fork protocol (DESIGN.md §8), the only one in the module. It
+    takes the snapshot slot and builds the prefix vehicle of every
+    other key it needs; those fly together, each up to its fork time.
+    ``keep``'s prefix, fully flown, goes into the slot and every case of
+    that key copies it; of every other key, the last case takes the
+    prefix vehicle itself. The forks fly together
+    (:func:`~repro.system.fly_fleet`) and each is closed
+    (:meth:`UavSystem.end_run`) the moment it stops.
+
+    The outcome is the case's :class:`MissionResult` or what raised for
+    it. A prefix that could not be built or flown yields its exception
+    for each of its cases, last case first, and so does a fork that
+    raised.
+    """
     global _snapshot
-    key = prefix_key(spec, config)
-    held = _snapshot
-    if held is not None and held[0] == key:
-        return held[1]
-    _snapshot = None  # free the old vehicle before flying the new one
-    system = _prefix_vehicle(spec, config)
-    system.fly_until(key[2])
-    _snapshot = (key, system)
-    return system
+    held, _snapshot = _snapshot, None
+    by_key: dict[PrefixKey, list[ExperimentSpec]] = {}
+    for spec in specs:
+        by_key.setdefault(prefix_key(spec, config), []).append(spec)
+
+    # No local here keeps a vehicle once it is handed on (to the slot,
+    # a fork or the fleet), so a case's vehicle goes with its flight.
+    prefixes: dict[PrefixKey, UavSystem] = {}
+    to_fly: dict[Flight, PrefixKey] = {}
+    for key, cases in by_key.items():
+        if held is not None and held[0] == key:
+            prefixes[key] = held[1]
+            continue
+        try:
+            prefixes[key] = _prefix_vehicle(cases[0], config)
+        except Exception as exc:
+            for spec in reversed(cases):
+                yield spec, exc
+            continue
+        to_fly[Flight(prefixes[key], until_s=key[2])] = key
+    del held
+    failed = [(to_fly[f], f.error) for f in fly_fleet(list(to_fly)) if f.error is not None]
+    del to_fly
+    for key, error in failed:
+        del prefixes[key]
+        for spec in reversed(by_key[key]):
+            yield spec, error
+
+    if keep in prefixes:
+        _snapshot = (keep, prefixes[keep])
+    spec_of: dict[Flight, ExperimentSpec] = {}
+    for key in list(prefixes):
+        prefix = prefixes.pop(key)
+        cases = by_key[key]
+        for i, spec in enumerate(cases):
+            last = i == len(cases) - 1 and key != keep
+            try:
+                spec_of[
+                    Flight(_fork(spec, config, prefix if last else copy.deepcopy(prefix)))
+                ] = spec
+            except Exception as exc:
+                yield spec, exc
+        del prefix
+
+    # fly_fleet holds its argument while it flies: through an iterator,
+    # which lets go once read, each vehicle is freed when its case ends.
+    for flight in fly_fleet(iter(list(spec_of))):
+        spec = spec_of.pop(flight)
+        outcome: MissionResult | Exception
+        try:
+            if flight.error is not None:
+                raise flight.error
+            outcome = flight.system.end_run()
+        except Exception as exc:
+            outcome = exc
+        del flight
+        yield spec, outcome
 
 
 def _prefix_vehicle(spec: ExperimentSpec, config: CampaignConfig) -> UavSystem:
@@ -487,49 +553,6 @@ def _run_order(spec: ExperimentSpec, config: CampaignConfig) -> tuple[int, float
     return (mission_id, start_s, spec.experiment_id)
 
 
-def _execute_serial(
-    pending: deque[_PendingCase],
-    config: CampaignConfig,
-    runner: Runner,
-    policy: RetryPolicy,
-    recorder: _Recorder,
-) -> None:
-    """In-process execution.
-
-    The default runner with no per-case timeout flies the cases as
-    fleets (:func:`_execute_fleets`). Otherwise each case runs alone
-    through ``runner``, its timeout enforced via a watchdog thread.
-    """
-    if runner is run_experiment and policy.timeout_s is None:
-        _execute_fleets(pending, config, policy, recorder)
-        return
-    obs = recorder.obs
-    while pending:
-        case = pending.popleft()
-        delay = case.ready_time - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        if obs is not None:
-            obs.trace.begin_span(
-                "case",
-                recorder.clock(),
-                experiment_id=case.spec.experiment_id,
-                label=case.spec.label,
-                attempt=case.attempt,
-            )
-        try:
-            result = run_with_timeout(
-                runner, (case.spec, config), policy.timeout_s
-            )
-        except Exception as exc:  # KeyboardInterrupt/SystemExit propagate
-            _retry_or_fail(case, exc, policy, pending, recorder, front=True)
-        else:
-            recorder.record(_stamp_attempts(result, case.attempt))
-        finally:
-            if obs is not None:
-                obs.trace.end_span(recorder.clock())
-
-
 #: Most cases a serial campaign flies as one fleet. In a sweep over the
 #: fleet size (DESIGN.md §11) the stage-major gain levels off from about
 #: eight vehicles on, while each live vehicle adds ~0.25 MB to the
@@ -537,53 +560,71 @@ def _execute_serial(
 FLEET_SIZE = 12
 
 
-def _execute_fleets(
+def _execute_serial(
     pending: deque[_PendingCase],
     config: CampaignConfig,
+    runner: Runner,
     policy: RetryPolicy,
     recorder: _Recorder,
 ) -> None:
-    """Serial execution in fleets of up to :data:`FLEET_SIZE` cases.
+    """In-process execution, one batch of ready cases at a time.
 
-    Each fleet takes the next ready cases in the campaign's grouped
-    order. It first flies the prefix vehicle of every prefix key it
-    needs (unless the snapshot slot holds it), all together, up to the
-    fork time; then it forks every case and flies the forks together
-    (:func:`~repro.system.fly_fleet`). A case is journalled and ticked
-    the moment its vehicle stops, which is the order the cases finish
-    in; a case whose stage raised goes through :func:`_retry_or_fail`.
-    Rows equal those of :func:`run_experiment` bit for bit
-    (``tests/test_fleet.py``).
+    The default runner with no per-case timeout flies batches of up to
+    :data:`FLEET_SIZE` cases as fleets (:func:`_fly_cases`), each in a
+    ``fleet`` span. Otherwise each case runs alone through ``runner``,
+    its timeout enforced via a watchdog thread, in a ``case`` span: the
+    watchdog can abandon one case's thread, but a timed-out fleet would
+    abandon every case in it.
     """
+    fleets = runner is run_experiment and policy.timeout_s is None
+    size = FLEET_SIZE if fleets else 1
     obs = recorder.obs
     while pending:
-        fleet = _take_ready(pending)
+        batch = _take_ready(pending, size)
+        first = batch[0]
         if obs is not None:
-            obs.trace.begin_span(
-                "fleet",
-                recorder.clock(),
-                cases=len(fleet),
-                first_experiment_id=fleet[0].spec.experiment_id,
-            )
+            if fleets:
+                obs.trace.begin_span(
+                    "fleet",
+                    recorder.clock(),
+                    cases=len(batch),
+                    first_experiment_id=first.spec.experiment_id,
+                )
+            else:
+                obs.trace.begin_span(
+                    "case",
+                    recorder.clock(),
+                    experiment_id=first.spec.experiment_id,
+                    label=first.spec.label,
+                    attempt=first.attempt,
+                )
         try:
-            _fly_cases(fleet, pending, config, policy, recorder)
+            if fleets:
+                _fly_cases(batch, pending, config, policy, recorder)
+            else:
+                try:
+                    result = run_with_timeout(runner, (first.spec, config), policy.timeout_s)
+                except Exception as exc:  # KeyboardInterrupt/SystemExit propagate
+                    _retry_or_fail(first, exc, policy, pending, recorder, front=True)
+                else:
+                    recorder.record(_stamp_attempts(result, first.attempt))
         finally:
             if obs is not None:
                 obs.trace.end_span(recorder.clock())
 
 
-def _take_ready(pending: deque[_PendingCase]) -> list[_PendingCase]:
-    """The next fleet: the front case, once ready, and the ready cases
-    behind it, up to :data:`FLEET_SIZE`."""
+def _take_ready(pending: deque[_PendingCase], size: int) -> list[_PendingCase]:
+    """The next batch: the front case, once ready, and the ready cases
+    behind it, up to ``size``."""
     first = pending.popleft()
     delay = first.ready_time - time.monotonic()
     if delay > 0:
         time.sleep(delay)
-    fleet = [first]
+    batch = [first]
     now = time.monotonic()
-    while pending and len(fleet) < FLEET_SIZE and pending[0].ready_time <= now:
-        fleet.append(pending.popleft())
-    return fleet
+    while pending and len(batch) < size and pending[0].ready_time <= now:
+        batch.append(pending.popleft())
+    return batch
 
 
 def _fly_cases(
@@ -593,100 +634,24 @@ def _fly_cases(
     policy: RetryPolicy,
     recorder: _Recorder,
 ) -> None:
-    """Fly one fleet of cases: the prefixes it needs, then the forks."""
-    global _snapshot
-    by_key: dict[PrefixKey, list[_PendingCase]] = {}
-    for case in fleet:
-        by_key.setdefault(prefix_key(case.spec, config), []).append(case)
-    prefixes = _fly_prefixes(by_key, pending, config, policy, recorder)
+    """Fly one fleet of cases (:func:`_fly_forks`).
 
-    # The key of the next fleet's first case keeps its prefix in the
-    # slot; every other prefix vehicle becomes its last case's vehicle.
-    # The forks are made as the fleet starts, from this generator, so
-    # no list outlives a case: each vehicle is freed when its case
-    # is recorded.
-    next_key = prefix_key(pending[0].spec, config) if pending else None
-    if next_key is not None and next_key in prefixes:
-        _snapshot = (next_key, prefixes[next_key])
-
-    case_of: dict[Flight, _PendingCase] = {}
-
-    def forks() -> Iterator[Flight]:
-        for key in list(prefixes):
-            prefix = prefixes.pop(key)
-            cases = by_key[key]
-            for i, case in enumerate(cases):
-                last = i == len(cases) - 1 and key != next_key
-                try:
-                    system = _fork(case.spec, config, prefix if last else copy.deepcopy(prefix))
-                except Exception as exc:
-                    _retry_or_fail(case, exc, policy, pending, recorder, front=True)
-                    continue
-                flight = Flight(system)
-                case_of[flight] = case
-                yield flight
-            del prefix
-
-    for flight in fly_fleet(forks()):
-        case = case_of.pop(flight)
-        try:
-            if flight.error is not None:
-                raise flight.error
-            mission_result = flight.system.end_run()
-        except Exception as exc:
-            _retry_or_fail(case, exc, policy, pending, recorder, front=True)
-        else:
-            result = _to_result(case.spec, mission_result, mitigated=config.mitigation)
-            recorder.record(_stamp_attempts(result, case.attempt))
-        del flight
-
-
-def _fly_prefixes(
-    by_key: dict[PrefixKey, list[_PendingCase]],
-    pending: deque[_PendingCase],
-    config: CampaignConfig,
-    policy: RetryPolicy,
-    recorder: _Recorder,
-) -> dict[PrefixKey, UavSystem]:
-    """The prefix vehicle of every key, flown together to its fork
-    time, or taken from the snapshot slot (which this empties).
-
-    A key whose vehicle could not be built or flown charges each of its
-    cases an attempt and has no entry.
+    A case is journalled and ticked the moment its vehicle stops, which
+    is the order the cases finish in; a case that raised goes through
+    :func:`_retry_or_fail`. The key of the next pending case keeps its
+    prefix in the slot, so a key that spans two fleets is flown once.
+    Rows equal those of :func:`run_experiment` bit for bit
+    (``tests/test_fleet.py``).
     """
-    global _snapshot
-    held, _snapshot = _snapshot, None
-    prefixes: dict[PrefixKey, UavSystem] = {}
-    to_fly: dict[Flight, PrefixKey] = {}
-    for key, cases in by_key.items():
-        if held is not None and held[0] == key:
-            prefixes[key] = held[1]
-            continue
-        try:
-            system = _prefix_vehicle(cases[0].spec, config)
-        except Exception as exc:
-            _fail_all(cases, exc, policy, pending, recorder)
-            continue
-        to_fly[Flight(system, until_s=key[2])] = key
-        prefixes[key] = system
-    for flight in fly_fleet(list(to_fly)):
-        if flight.error is not None:
-            key = to_fly[flight]
-            del prefixes[key]
-            _fail_all(by_key[key], flight.error, policy, pending, recorder)
-    return prefixes
-
-
-def _fail_all(
-    cases: list[_PendingCase],
-    exc: Exception,
-    policy: RetryPolicy,
-    pending: deque[_PendingCase],
-    recorder: _Recorder,
-) -> None:
-    """Charge every case of a prefix that could not be flown."""
-    for case in reversed(cases):
-        _retry_or_fail(case, exc, policy, pending, recorder, front=True)
+    case_of = {case.spec.experiment_id: case for case in fleet}
+    keep = prefix_key(pending[0].spec, config) if pending else None
+    for spec, outcome in _fly_forks([case.spec for case in fleet], config, keep):
+        case = case_of[spec.experiment_id]
+        if isinstance(outcome, Exception):
+            _retry_or_fail(case, outcome, policy, pending, recorder, front=True)
+        else:
+            result = _to_result(spec, outcome, mitigated=config.mitigation)
+            recorder.record(_stamp_attempts(result, case.attempt))
 
 
 def _execute_parallel(

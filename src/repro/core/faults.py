@@ -326,7 +326,3 @@ FAULT_MODEL_CATALOG: tuple[FaultModelEntry, ...] = (
     ),
 )
 
-
-def behaviours_for_entry(entry: FaultModelEntry) -> tuple[FaultType, ...]:
-    """The injectable behaviours that represent a Table I fault class."""
-    return entry.represented_by

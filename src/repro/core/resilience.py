@@ -40,6 +40,16 @@ class CaseTimeoutError(Exception):
     """A single experiment case exceeded its wall-clock budget."""
 
 
+#: Multiplier applied to the backoff per further attempt.
+BACKOFF_FACTOR = 2.0
+#: Cap on any single backoff sleep, before jitter.
+BACKOFF_MAX_S = 30.0
+#: Amplitude of the deterministic jitter added on top of the backoff,
+#: as a fraction of it; derived from the case key so the schedule is
+#: reproducible.
+JITTER_FRAC = 0.1
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How the harness treats a failing or hanging case.
@@ -47,19 +57,14 @@ class RetryPolicy:
     Attributes:
         max_attempts: total tries per case (1 = no retry).
         backoff_base_s: sleep before attempt 2; 0 disables sleeping.
-        backoff_factor: multiplier applied per further attempt.
-        backoff_max_s: cap on any single backoff sleep.
-        jitter_frac: deterministic jitter amplitude (0..1) added on top
-            of the exponential delay; derived from the case key so the
-            schedule is reproducible.
+            Each further attempt multiplies it by
+            :data:`BACKOFF_FACTOR`, up to :data:`BACKOFF_MAX_S`, plus
+            up to :data:`JITTER_FRAC` of jitter.
         timeout_s: per-case wall-clock limit; ``None`` disables it.
     """
 
     max_attempts: int = 3
     backoff_base_s: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 30.0
-    jitter_frac: float = 0.1
     timeout_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -67,12 +72,6 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_base_s < 0.0:
             raise ValueError("backoff_base_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.backoff_max_s < 0.0:
-            raise ValueError("backoff_max_s must be non-negative")
-        if not 0.0 <= self.jitter_frac <= 1.0:
-            raise ValueError("jitter_frac must be within [0, 1]")
         if self.timeout_s is not None and self.timeout_s <= 0.0:
             raise ValueError("timeout_s must be positive (or None)")
 
@@ -85,9 +84,9 @@ class RetryPolicy:
         """
         if attempt < 1:
             raise ValueError("attempt counts from 1")
-        base = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
-        base = min(self.backoff_max_s, base)
-        return base * (1.0 + self.jitter_frac * _unit_hash(key, attempt))
+        base = self.backoff_base_s * BACKOFF_FACTOR ** (attempt - 1)
+        base = min(BACKOFF_MAX_S, base)
+        return base * (1.0 + JITTER_FRAC * _unit_hash(key, attempt))
 
 
 #: Legacy behaviour: one attempt, no timeout — a raising case still

@@ -101,10 +101,6 @@ class InnovationMonitor:
         self.channels[channel].record(test_ratio, accepted)
         self._aiding_failed = None
 
-    def channel_failed(self, channel: str) -> bool:
-        """True when a channel's rolling window shows sustained rejection."""
-        return self.channels[channel].failed
-
     def _group(self, prefix: str) -> list[ChannelHealth]:
         if len(self.channels) != self._cached_count:
             self._groups.clear()

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.mathutils import quat_identity, quat_to_euler
+from repro.mathutils import quat_identity
 
 
 def _zeros3() -> np.ndarray:
@@ -41,11 +41,6 @@ class RigidBodyState:
         """Ground speed magnitude (3-D)."""
         v = self.velocity_ned
         return math.sqrt(float(v.dot(v)))
-
-    @property
-    def euler_rad(self) -> tuple[float, float, float]:
-        """(roll, pitch, yaw) in radians."""
-        return quat_to_euler(self.quaternion)
 
     @property
     def tilt_rad(self) -> float:

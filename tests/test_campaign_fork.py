@@ -124,18 +124,19 @@ def test_timeout_while_flying_the_prefix_leaves_no_half_flown_snapshot(monkeypat
     first, second = matrix(TINY)[1:3]
     injection_s = TINY.effective_injection_time_s
     mid_prefix, release = threading.Event(), threading.Event()
-    fly_until = UavSystem.fly_until
+    stages = list(UavSystem.STAGES)
+    first_stage = stages[0]
 
-    def fly_until_held_halfway(system: UavSystem, time_s: float) -> None:
+    def held_halfway(system: UavSystem) -> None:
         # The first prefix stops halfway until released, so the case's
         # timeout fires mid-prefix on every run.
-        if not mid_prefix.is_set():
-            fly_until(system, time_s / 2)
+        if not mid_prefix.is_set() and system.physics.time_s >= injection_s / 2:
             mid_prefix.set()
             release.wait()
-        fly_until(system, time_s)
+        first_stage(system)
 
-    monkeypatch.setattr(UavSystem, "fly_until", fly_until_held_halfway)
+    stages[0] = held_halfway
+    monkeypatch.setattr(UavSystem, "STAGES", tuple(stages))
     before = set(threading.enumerate())
     with pytest.raises(CaseTimeoutError):
         run_with_timeout(run_experiment, (first, TINY), 0.01)

@@ -15,6 +15,8 @@ from repro.core.campaign import CampaignConfig, run_campaign
 from repro.core.experiments import build_experiment_matrix
 from repro.core.faults import FaultTarget, FaultType
 from repro.core.resilience import (
+    BACKOFF_MAX_S,
+    JITTER_FRAC,
     NO_RETRY,
     CaseTimeoutError,
     RetryPolicy,
@@ -103,28 +105,23 @@ def test_retry_policy_validation():
     with pytest.raises(ValueError):
         RetryPolicy(backoff_base_s=-1.0)
     with pytest.raises(ValueError):
-        RetryPolicy(backoff_factor=0.5)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter_frac=1.5)
-    with pytest.raises(ValueError):
         RetryPolicy(timeout_s=0.0)
     with pytest.raises(ValueError):
         NO_RETRY.delay_s(0)
 
 
 def test_retry_policy_delay_deterministic_and_bounded():
-    policy = RetryPolicy(
-        max_attempts=5, backoff_base_s=1.0, backoff_factor=2.0,
-        backoff_max_s=3.0, jitter_frac=0.1,
-    )
+    policy = RetryPolicy(max_attempts=5, backoff_base_s=10.0)
     # Pure function of (attempt, key): identical across calls.
     assert policy.delay_s(1, key=7) == policy.delay_s(1, key=7)
     # Different keys jitter differently.
     assert policy.delay_s(1, key=7) != policy.delay_s(1, key=8)
     # Exponential growth until the cap.
     assert policy.delay_s(2, key=7) > policy.delay_s(1, key=7)
+    # 10, 20, then the cap from attempt 3 on, each with jitter on top.
     for attempt in range(1, 6):
-        assert policy.delay_s(attempt, key=7) <= 3.0 * 1.1
+        assert policy.delay_s(attempt, key=7) <= BACKOFF_MAX_S * (1.0 + JITTER_FRAC)
+    assert policy.delay_s(3, key=7) >= BACKOFF_MAX_S
     # Zero base disables sleeping entirely.
     assert NO_RETRY.delay_s(1, key=0) == 0.0
 

@@ -187,13 +187,21 @@ def test_a_raising_vehicle_leaves_and_the_others_fly_on(monkeypatch):
 # ------------------------------------------------------------- campaigns
 
 
-def test_serial_campaign_fleet_equals_cases_flown_alone(monkeypatch):
-    """Two prefix keys share the first fleet, and the second key's
-    prefix rides the snapshot slot into the next fleet, flown once."""
+@pytest.fixture(scope="module")
+def two_keys() -> tuple[list[ExperimentSpec], list[ExperimentResult]]:
+    """Three mission-1 and four mission-2 cases (two prefix keys) and
+    their rows, each case flown alone."""
     specs = matrix(TINY)
     specs = [s for s in specs if s.mission_id == 1][:3] + [
         s for s in specs if s.mission_id == 2
     ][:4]
+    return specs, run_campaign(TINY, specs, runner=alone).results
+
+
+def test_serial_campaign_fleet_equals_cases_flown_alone(monkeypatch, two_keys):
+    """Two prefix keys share the first fleet, and the second key's
+    prefix rides the snapshot slot into the next fleet, flown once."""
+    specs, reference = two_keys
     built: list[int] = []
     prefix_vehicle = campaign._prefix_vehicle
 
@@ -206,7 +214,42 @@ def test_serial_campaign_fleet_equals_cases_flown_alone(monkeypatch):
     fleet = run_campaign(TINY, specs)
     assert built == [1, 2]
     assert campaign._snapshot is None
-    assert fleet.results == run_campaign(TINY, specs, runner=alone).results
+    assert fleet.results == reference
+
+
+@pytest.mark.parametrize("max_attempts", [2, 1], ids=["retried", "harness-error"])
+def test_prefix_that_cannot_be_built_charges_only_its_own_cases(
+    monkeypatch, max_attempts, two_keys
+):
+    specs, reference = two_keys
+    boom = RuntimeError("prefix not built")
+    left = [1]
+    prefix_vehicle = campaign._prefix_vehicle
+
+    def fails_once_for_mission_1(spec: ExperimentSpec, config: CampaignConfig) -> UavSystem:
+        if spec.mission_id == 1 and left[0]:
+            left[0] -= 1
+            raise boom
+        return prefix_vehicle(spec, config)
+
+    monkeypatch.setattr(campaign, "_prefix_vehicle", fails_once_for_mission_1)
+    policy = RetryPolicy(max_attempts=max_attempts)
+    rows = run_campaign(TINY, specs, retry_policy=policy).results
+    assert [r.mission_id for r in rows] == [1, 1, 1, 2, 2, 2, 2]
+    for row, expected in zip(rows, reference):
+        if row.mission_id == 2:
+            assert row == expected
+        elif max_attempts == 2:
+            assert row == dataclasses.replace(expected, attempts=2)
+        else:
+            assert row.is_harness_error and row.attempts == 1
+            assert row.error == "RuntimeError: prefix not built"
+
+    left[0] = 1
+    with pytest.raises(RuntimeError) as raised:
+        run_experiment(specs[0], TINY)
+    assert raised.value is boom
+    assert campaign._snapshot is None
 
 
 def test_mitigated_observed_campaign_fleet_equals_cases_flown_alone(tmp_path):
