@@ -38,7 +38,7 @@ from repro.core import (
     table4_failure_analysis,
     render_table,
 )
-from repro.core.campaign import CampaignConfig, run_campaign, run_experiment, quick_config
+from repro.core.campaign import CampaignConfig, run_campaign, run_experiment
 from repro.core.io import (
     save_campaign,
     load_campaign,
@@ -53,7 +53,6 @@ from repro.core.analysis import (
     redundancy_rescues,
     render_rescues,
     render_shape_checks,
-    severity_ranking,
 )
 from repro.flightstack import MissionOutcome
 from repro.redundancy import ImuBank, RedundancyConfig, Voter
@@ -91,7 +90,6 @@ __all__ = [
     "table3_by_fault",
     "table4_failure_analysis",
     "render_table",
-    "quick_config",
     "save_campaign",
     "load_campaign",
     "export_csv",
@@ -105,7 +103,6 @@ __all__ = [
     "redundancy_rescues",
     "render_rescues",
     "render_shape_checks",
-    "severity_ranking",
     "MissionOutcome",
     "__version__",
 ]

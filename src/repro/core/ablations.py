@@ -18,8 +18,9 @@ a targeted slice of the fault matrix with the mechanism altered:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.core.faults import FaultSpec, FaultTarget, FaultType
 from repro.flightstack import MissionOutcome
@@ -41,32 +42,44 @@ class AblationPoint:
     outer_violations_avg: float
 
 
-def _run_slice(
+def _sweep(
+    parameter: str,
+    values: tuple[float | bool, ...],
     faults: list[FaultSpec],
     mission_ids: tuple[int, ...],
     scale: float,
-    config_factory: Callable[[], SystemConfig],
-) -> tuple[int, float, float, float, float, float]:
-    """Run every (mission, fault) pair; return aggregate outcome stats."""
+    config: Callable[[Any], SystemConfig],
+) -> list[AblationPoint]:
+    """Fly every (mission, fault) pair under ``config(value)`` for each
+    value of ``parameter``; one aggregate point per value."""
     plans = {p.mission_id: p for p in valencia_missions(scale=scale)}
-    outcomes = []
-    inner = outer = 0
-    for mission_id in mission_ids:
-        for fault in faults:
-            system = UavSystem(plans[mission_id], config=config_factory(), fault=fault)
-            result = system.run()
-            outcomes.append(result.outcome)
-            inner += result.inner_violations
-            outer += result.outer_violations
-    if not outcomes:
-        raise ValueError("ablation slice produced no runs (empty missions or faults)")
-    n = len(outcomes)
-    completed = 100.0 * sum(o == MissionOutcome.COMPLETED for o in outcomes) / n
-    crashed = 100.0 * sum(o == MissionOutcome.CRASHED for o in outcomes) / n
-    failsafed = 100.0 * sum(
-        o in (MissionOutcome.FAILSAFE, MissionOutcome.TIMEOUT) for o in outcomes
-    ) / n
-    return n, completed, crashed, failsafed, inner / n, outer / n
+    points = []
+    for value in values:
+        outcomes = []
+        inner = outer = 0
+        for mission_id in mission_ids:
+            for fault in faults:
+                system = UavSystem(plans[mission_id], config=config(value), fault=fault)
+                result = system.run()
+                outcomes.append(result.outcome)
+                inner += result.inner_violations
+                outer += result.outer_violations
+        if not outcomes:
+            raise ValueError("ablation slice produced no runs (empty missions or faults)")
+        n = len(outcomes)
+        points.append(AblationPoint(
+            parameter,
+            value,
+            n,
+            completed_pct=100.0 * sum(o == MissionOutcome.COMPLETED for o in outcomes) / n,
+            crash_pct=100.0 * sum(o == MissionOutcome.CRASHED for o in outcomes) / n,
+            failsafe_pct=100.0 * sum(
+                o in (MissionOutcome.FAILSAFE, MissionOutcome.TIMEOUT) for o in outcomes
+            ) / n,
+            inner_violations_avg=inner / n,
+            outer_violations_avg=outer / n,
+        ))
+    return points
 
 
 def _gyro_fault_slice(injection_time_s: float) -> list[FaultSpec]:
@@ -86,17 +99,10 @@ def isolation_time_sweep(
     injection_time_s: float = 25.0,
 ) -> list[AblationPoint]:
     """Sweep the redundant-sensor isolation time before failsafe."""
-    points = []
-    faults = _gyro_fault_slice(injection_time_s)
-    for isolation in isolation_times_s:
-        def factory(isolation: float = isolation) -> SystemConfig:
-            return SystemConfig(fs_isolation_time_s=isolation)
-
-        n, comp, crash, fs, inner, outer = _run_slice(faults, mission_ids, scale, factory)
-        points.append(
-            AblationPoint("fs_isolation_time_s", isolation, n, comp, crash, fs, inner, outer)
-        )
-    return points
+    return _sweep(
+        "fs_isolation_time_s", isolation_times_s, _gyro_fault_slice(injection_time_s),
+        mission_ids, scale, lambda isolation: SystemConfig(fs_isolation_time_s=isolation),
+    )
 
 
 def gyro_threshold_sweep(
@@ -106,19 +112,11 @@ def gyro_threshold_sweep(
     injection_time_s: float = 25.0,
 ) -> list[AblationPoint]:
     """Sweep the FD gyro-rate threshold (the paper's 60 deg/s default)."""
-    import math
-
-    points = []
-    faults = _gyro_fault_slice(injection_time_s)
-    for threshold in thresholds_deg_s:
-        def factory(threshold: float = threshold) -> SystemConfig:
-            return SystemConfig(fd_gyro_rate_threshold_rad_s=math.radians(threshold))
-
-        n, comp, crash, fs, inner, outer = _run_slice(faults, mission_ids, scale, factory)
-        points.append(
-            AblationPoint("fd_gyro_rate_deg_s", threshold, n, comp, crash, fs, inner, outer)
-        )
-    return points
+    return _sweep(
+        "fd_gyro_rate_deg_s", thresholds_deg_s, _gyro_fault_slice(injection_time_s),
+        mission_ids, scale,
+        lambda threshold: SystemConfig(fd_gyro_rate_threshold_rad_s=math.radians(threshold)),
+    )
 
 
 def fusion_reset_ablation(
@@ -132,16 +130,10 @@ def fusion_reset_ablation(
         FaultSpec(FaultType.FREEZE, FaultTarget.ACCEL, injection_time_s, 10.0, seed=2),
         FaultSpec(FaultType.MAX, FaultTarget.ACCEL, injection_time_s, 5.0, seed=3),
     ]
-    points = []
-    for enabled in (True, False):
-        def factory(enabled: bool = enabled) -> SystemConfig:
-            return SystemConfig(fusion_reset=enabled)
-
-        n, comp, crash, fs, inner, outer = _run_slice(faults, mission_ids, scale, factory)
-        points.append(
-            AblationPoint("fusion_reset", enabled, n, comp, crash, fs, inner, outer)
-        )
-    return points
+    return _sweep(
+        "fusion_reset", (True, False), faults, mission_ids, scale,
+        lambda enabled: SystemConfig(fusion_reset=enabled),
+    )
 
 
 def confidence_scheduling_ablation(
@@ -154,16 +146,10 @@ def confidence_scheduling_ablation(
         FaultSpec(FaultType.ZEROS, FaultTarget.GYRO, injection_time_s, 5.0, seed=1),
         FaultSpec(FaultType.FREEZE, FaultTarget.GYRO, injection_time_s, 5.0, seed=2),
     ]
-    points = []
-    for enabled in (True, False):
-        def factory(enabled: bool = enabled) -> SystemConfig:
-            return SystemConfig(confidence_scheduling=enabled)
-
-        n, comp, crash, fs, inner, outer = _run_slice(faults, mission_ids, scale, factory)
-        points.append(
-            AblationPoint("confidence_scheduling", enabled, n, comp, crash, fs, inner, outer)
-        )
-    return points
+    return _sweep(
+        "confidence_scheduling", (True, False), faults, mission_ids, scale,
+        lambda enabled: SystemConfig(confidence_scheduling=enabled),
+    )
 
 
 def risk_factor_sweep(
@@ -175,14 +161,10 @@ def risk_factor_sweep(
     """Sweep R in Eq. 3: larger R grows the outer bubble and therefore
     reduces outer violations for identical flown trajectories."""
     fault = FaultSpec(FaultType.ZEROS, FaultTarget.ACCEL, injection_time_s, 10.0, seed=1)
-    points = []
-    for risk in risk_factors:
-        def factory(risk: float = risk) -> SystemConfig:
-            return SystemConfig(risk_factor=risk)
-
-        n, comp, crash, fs, inner, outer = _run_slice([fault], mission_ids, scale, factory)
-        points.append(AblationPoint("risk_factor_R", risk, n, comp, crash, fs, inner, outer))
-    return points
+    return _sweep(
+        "risk_factor_R", risk_factors, [fault], mission_ids, scale,
+        lambda risk: SystemConfig(risk_factor=risk),
+    )
 
 
 def render_ablation(points: list[AblationPoint], title: str) -> str:

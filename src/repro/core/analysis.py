@@ -2,15 +2,11 @@
 
 Beyond the paper's three tables, this module provides:
 
-* per-mission breakdowns (which missions are fragile under which
-  faults — the paper's speed/turn diversity makes this interesting);
-* a duration x fault severity grid (the interaction the paper's
-  Sec. IV-B discusses qualitatively);
-* fault-severity ranking;
 * **shape checks** against the paper's published orderings
   (:mod:`repro.core.paper_reference`): the one oracle for which
   qualitative findings reproduce. EXPERIMENTS.md publishes their
-  rendering on the committed campaign verbatim.
+  rendering on the committed campaign verbatim;
+* the redundancy study's rescues and the harness-error report.
 """
 
 from __future__ import annotations
@@ -19,9 +15,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.faults import FaultTarget, FaultType
-from repro.core.metrics import SummaryRow, summarize
-from repro.core.results import CampaignResult
-from repro.core.tables import _fault_label
+from repro.core.metrics import SummaryRow, failure_analysis, summarize
+from repro.core.results import CampaignResult, ExperimentResult
+from repro.core.tables import ResilienceRow, _fault_label, resilience_comparison
 
 
 @dataclass(frozen=True)
@@ -34,60 +30,12 @@ class ShapeCheck:
     detail: str
 
 
-def by_mission(campaign: CampaignResult) -> list[SummaryRow]:
-    """Average faulty results per mission (fragility profile)."""
-    rows = []
-    mission_ids = sorted({r.mission_id for r in campaign.faulty})
-    for mission_id in mission_ids:
-        group = [r for r in campaign.faulty if r.mission_id == mission_id]
-        rows.append(summarize(f"mission {mission_id}", group))
-    return rows
-
-
-def duration_fault_grid(campaign: CampaignResult) -> dict[tuple[str, float], float]:
-    """Completion %% for every (fault label, duration) cell."""
-    grid: dict[tuple[str, float], float] = {}
-    durations = sorted({r.injection_duration_s for r in campaign.faulty})
-    for target in FaultTarget:
-        for fault_type in FaultType:
-            label = _fault_label(target, fault_type)
-            for duration in durations:
-                cell = [
-                    r
-                    for r in campaign.by_fault_label(label)
-                    if abs(r.injection_duration_s - duration) < 1e-9
-                ]
-                if cell:
-                    grid[(label, duration)] = (
-                        100.0 * sum(r.completed for r in cell) / len(cell)
-                    )
-    return grid
-
-
-def severity_ranking(campaign: CampaignResult) -> list[SummaryRow]:
-    """All 21 fault rows sorted most-severe (lowest completion) first."""
-    rows = []
-    for target in FaultTarget:
-        for fault_type in FaultType:
-            label = _fault_label(target, fault_type)
-            group = campaign.by_fault_label(label)
-            if group:
-                rows.append(summarize(label, group))
-    return sorted(rows, key=lambda row: row.completed_pct)
-
-
 def _completion(campaign: CampaignResult, label: str) -> float:
-    group = campaign.by_fault_label(label)
-    if not group:
-        raise ValueError(f"campaign has no runs for {label}")
-    return 100.0 * sum(r.completed for r in group) / len(group)
+    return summarize(label, campaign.by_fault_label(label)).completed_pct
 
 
 def _component_failure(campaign: CampaignResult, target: str) -> float:
-    group = campaign.by_target(target)
-    if not group:
-        raise ValueError(f"campaign has no runs for target {target}")
-    return 100.0 * sum(r.failed for r in group) / len(group)
+    return failure_analysis(target, campaign.by_target(target)).failed_pct
 
 
 def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
@@ -121,13 +69,11 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
     def durations() -> list[float]:
         return sorted({r.injection_duration_s for r in campaign.faulty})
 
+    def by_duration() -> dict[float, SummaryRow]:
+        return {d: summarize(f"{d} s", campaign.by_duration(d)) for d in durations()}
+
     def completion_by_duration() -> dict[float, float]:
-        return {
-            d: 100.0
-            * sum(r.completed for r in campaign.by_duration(d))
-            / len(campaign.by_duration(d))
-            for d in durations()
-        }
+        return {d: row.completed_pct for d, row in by_duration().items()}
 
     # 1. Gold baseline is clean.
     add(
@@ -164,11 +110,7 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
 
     # 4. Violations grow with duration.
     def viol() -> dict[float, float]:
-        return {
-            d: sum(r.inner_violations for r in campaign.by_duration(d))
-            / len(campaign.by_duration(d))
-            for d in durations()
-        }
+        return {d: row.inner_violations_avg for d, row in by_duration().items()}
 
     add(
         "duration-violations",
@@ -180,8 +122,8 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
 
     # 5. Faults cut flights short: the longest injections end sooner
     # than gold on average.
-    def mean_flight_s(group: list) -> float:
-        return sum(r.flight_duration_s for r in group) / len(group)
+    def mean_flight_s(group: list[ExperimentResult]) -> float:
+        return summarize("flight duration", group).duration_avg_s
 
     add(
         "long-injections-cut-short",
@@ -283,8 +225,7 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
     # 13. Accelerometer faults produce the heaviest violation counts
     # (paper Sec. IV-D: Acc pushes drones out of their bubbles fastest).
     def avg_inner(target: str) -> float:
-        group = campaign.by_target(target)
-        return sum(r.inner_violations for r in group) / len(group)
+        return summarize(target, campaign.by_target(target)).inner_violations_avg
 
     add(
         "acc-heaviest-violations",
@@ -297,58 +238,19 @@ def check_paper_shapes(campaign: CampaignResult) -> list[ShapeCheck]:
     return checks
 
 
-@dataclass(frozen=True)
-class RescuedFault:
-    """One fault group the redundant IMU bank demonstrably rescued."""
-
-    fault_label: str
-    baseline_completed_pct: float
-    mitigated_completed_pct: float
-    baseline_crashed_pct: float
-    mitigated_crashed_pct: float
-    switchovers: int
-
-
 def redundancy_rescues(
     baseline: CampaignResult, mitigated: CampaignResult
-) -> list[RescuedFault]:
-    """Fault labels where the IMU bank improved the completion share.
-
-    Both campaigns must cover the same faulty cases (same missions,
-    durations, seeds, fault scope); only labels present in both are
-    compared. Sorted by completion gain, largest first.
-    """
-    rescued: list[RescuedFault] = []
-    labels = sorted(
-        {r.fault_label for r in baseline.faulty}
-        & {r.fault_label for r in mitigated.faulty}
+) -> list[ResilienceRow]:
+    """The fault rows of :func:`resilience_comparison` whose completion
+    share rose with the IMU bank, largest gain first (ties by label)."""
+    rows = resilience_comparison(baseline, mitigated)[1:]
+    return sorted(
+        (row for row in rows if row.completed_delta_pct > 0),
+        key=lambda row: (-row.completed_delta_pct, row.label),
     )
 
-    def pct(group: list, pred: str) -> float:
-        return 100.0 * sum(1 for r in group if getattr(r, pred)) / len(group)
 
-    for label in labels:
-        base = baseline.by_fault_label(label)
-        mit = mitigated.by_fault_label(label)
-        base_done, mit_done = pct(base, "completed"), pct(mit, "completed")
-        if mit_done > base_done:
-            rescued.append(
-                RescuedFault(
-                    fault_label=label,
-                    baseline_completed_pct=base_done,
-                    mitigated_completed_pct=mit_done,
-                    baseline_crashed_pct=pct(base, "crashed"),
-                    mitigated_crashed_pct=pct(mit, "crashed"),
-                    switchovers=sum(r.imu_switchovers for r in mit),
-                )
-            )
-    rescued.sort(
-        key=lambda r: r.baseline_completed_pct - r.mitigated_completed_pct
-    )
-    return rescued
-
-
-def render_rescues(rescues: list[RescuedFault]) -> str:
+def render_rescues(rescues: list[ResilienceRow]) -> str:
     """Human-readable report of what redundancy bought."""
     if not rescues:
         return (
@@ -358,7 +260,7 @@ def render_rescues(rescues: list[RescuedFault]) -> str:
     lines = [f"Redundancy rescues: {len(rescues)} fault group(s) improved"]
     for r in rescues:
         lines.append(
-            f"  {r.fault_label}: completion "
+            f"  {r.label}: completion "
             f"{r.baseline_completed_pct:.1f}% -> {r.mitigated_completed_pct:.1f}%, "
             f"crashes {r.baseline_crashed_pct:.1f}% -> {r.mitigated_crashed_pct:.1f}% "
             f"({r.switchovers} switchover(s))"

@@ -850,8 +850,3 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     for process in list(processes.values()):
         process.terminate()
     pool.shutdown(wait=False, cancel_futures=True)
-
-
-def quick_config(workers: int = 1, base_seed: int = 0) -> CampaignConfig:
-    """A CI-sized campaign: same matrix shape, 1/5-scale geometry."""
-    return CampaignConfig(scale=0.2, workers=workers, base_seed=base_seed)

@@ -53,12 +53,11 @@ def measure_detection(
 ) -> DetectionRecord:
     """Run one faulty mission and extract its detection timeline."""
     system = UavSystem(plan, config=config, fault=fault)
-    system.commander.arm_and_takeoff(system.physics.time_s)
+    system.start_run()
 
     detection_time: float | None = None
     first_trigger: str = "none"
-    hard_cap = plan.estimated_duration_s() * 2.5 + 60.0
-    while not system.commander.terminal and system.physics.time_s < hard_cap:
+    while system.flying():
         system.step()
         if (
             detection_time is None

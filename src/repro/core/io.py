@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import IO, Any
 
@@ -39,53 +40,45 @@ _SUPPORTED_VERSIONS = (1, 2, 3, 4)
 _JOURNAL_SCHEMA_VERSION = 1
 
 
+#: The row schema: every persisted form (JSON, journal, CSV) writes
+#: these fields, in this order.
+_ROW_FIELDS = fields(ExperimentResult)
+
+#: CSV cell formats of the rounded float columns.
+_CSV_FORMATS = {
+    "flight_duration_s": ".3f",
+    "distance_km": ".4f",
+    "max_deviation_m": ".3f",
+}
+
+
 def _result_to_dict(r: ExperimentResult) -> dict[str, Any]:
-    return {
-        "experiment_id": r.experiment_id,
-        "mission_id": r.mission_id,
-        "fault_label": r.fault_label,
-        "fault_type": r.fault_type,
-        "target": r.target,
-        "injection_duration_s": r.injection_duration_s,
-        "outcome": r.outcome.value if r.outcome is not None else None,
-        "flight_duration_s": r.flight_duration_s,
-        "distance_km": r.distance_km,
-        "inner_violations": r.inner_violations,
-        "outer_violations": r.outer_violations,
-        "max_deviation_m": r.max_deviation_m,
-        "error": r.error,
-        "attempts": r.attempts,
-        "fault_scope": r.fault_scope,
-        "mitigated": r.mitigated,
-        "imu_switchovers": r.imu_switchovers,
-        "isolation_succeeded": r.isolation_succeeded,
-        "blackbox_path": r.blackbox_path,
-    }
+    row = {f.name: getattr(r, f.name) for f in _ROW_FIELDS}
+    if r.outcome is not None:
+        row["outcome"] = r.outcome.value
+    return row
 
 
 def _result_from_dict(r: dict[str, Any]) -> ExperimentResult:
-    outcome = r["outcome"]
-    return ExperimentResult(
-        experiment_id=r["experiment_id"],
-        mission_id=r["mission_id"],
-        fault_label=r["fault_label"],
-        fault_type=r["fault_type"],
-        target=r["target"],
-        injection_duration_s=r["injection_duration_s"],
-        outcome=MissionOutcome(outcome) if outcome is not None else None,
-        flight_duration_s=r["flight_duration_s"],
-        distance_km=r["distance_km"],
-        inner_violations=r["inner_violations"],
-        outer_violations=r["outer_violations"],
-        max_deviation_m=r["max_deviation_m"],
-        error=r.get("error"),
-        attempts=r.get("attempts", 1),
-        fault_scope=r.get("fault_scope"),
-        mitigated=r.get("mitigated", False),
-        imu_switchovers=r.get("imu_switchovers", 0),
-        isolation_succeeded=r.get("isolation_succeeded"),
-        blackbox_path=r.get("blackbox_path"),
-    )
+    """Inverse of :func:`_result_to_dict`.
+
+    A field an older schema lacks takes its dataclass default; a missing
+    field without one raises ``KeyError`` (a torn journal line).
+    """
+    row = {f.name: r[f.name] for f in _ROW_FIELDS if f.name in r or f.default is MISSING}
+    if row["outcome"] is not None:
+        row["outcome"] = MissionOutcome(row["outcome"])
+    return ExperimentResult(**row)
+
+
+def _csv_cell(name: str, value: Any) -> str:
+    if value is None:
+        return HARNESS_ERROR_OUTCOME if name == "outcome" else ""
+    if name in _CSV_FORMATS:
+        return format(value, _CSV_FORMATS[name])
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value).replace(",", ";").replace("\n", " ")
 
 
 def save_campaign(campaign: CampaignResult, path: str | Path) -> None:
@@ -102,8 +95,8 @@ def save_campaign(campaign: CampaignResult, path: str | Path) -> None:
 def load_campaign(path: str | Path) -> CampaignResult:
     """Read a campaign previously written by :func:`save_campaign`.
 
-    Accepts schema v1 (pre-resilience files without harness-error
-    fields) and v2; refuses unknown versions rather than guessing.
+    Accepts schemas v1-v4 (a field an older schema lacks takes its
+    default); refuses unknown versions rather than guessing.
     """
     payload = json.loads(Path(path).read_text())
     version = payload.get("schema_version")
@@ -123,27 +116,10 @@ def load_campaign(path: str | Path) -> CampaignResult:
 
 def export_csv(campaign: CampaignResult, path: str | Path) -> None:
     """Write the raw per-experiment rows as CSV (for pandas/R users)."""
-    header = (
-        "experiment_id,mission_id,fault_label,fault_type,target,"
-        "injection_duration_s,outcome,flight_duration_s,distance_km,"
-        "inner_violations,outer_violations,max_deviation_m,error,attempts,"
-        "fault_scope,mitigated,imu_switchovers,isolation_succeeded,"
-        "blackbox_path"
-    )
-    lines = [header]
+    lines = [",".join(f.name for f in _ROW_FIELDS)]
     for r in campaign.results:
-        label = r.fault_label.replace(",", ";")
-        outcome = r.outcome.value if r.outcome is not None else HARNESS_ERROR_OUTCOME
-        error = (r.error or "").replace(",", ";").replace("\n", " ")
-        isolation = "" if r.isolation_succeeded is None else str(r.isolation_succeeded).lower()
         lines.append(
-            f"{r.experiment_id},{r.mission_id},{label},{r.fault_type or ''},"
-            f"{r.target or ''},{r.injection_duration_s if r.injection_duration_s is not None else ''},"
-            f"{outcome},{r.flight_duration_s:.3f},{r.distance_km:.4f},"
-            f"{r.inner_violations},{r.outer_violations},{r.max_deviation_m:.3f},"
-            f"{error},{r.attempts},{r.fault_scope or ''},"
-            f"{str(r.mitigated).lower()},{r.imu_switchovers},{isolation},"
-            f"{(r.blackbox_path or '').replace(',', ';')}"
+            ",".join(_csv_cell(name, value) for name, value in _result_to_dict(r).items())
         )
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 

@@ -91,9 +91,3 @@ def paper_table3_row(label: str) -> PaperSummaryRow:
         if row.label == label:
             return row
     raise KeyError(f"no such Table III row: {label}")
-
-
-def paper_component_order() -> list[str]:
-    """Component failure-rate ordering reported by the paper (worst last)."""
-    rows = [r for r in PAPER_TABLE4 if r.label in ("Acc", "Gyro", "IMU")]
-    return [r.label for r in sorted(rows, key=lambda r: r.failed_pct)]

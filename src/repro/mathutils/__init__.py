@@ -25,7 +25,6 @@ from repro.mathutils.quaternion import (
     quat_from_rotation_matrix,
     quat_integrate,
     quat_angle_between,
-    quat_slerp,
     quat_normalize_into,
     quat_multiply_into,
     quat_conjugate_into,
@@ -37,16 +36,11 @@ from repro.mathutils.quaternion import (
     quat_integrate_into,
 )
 from repro.mathutils.rotations import (
-    rotation_x,
-    rotation_y,
-    rotation_z,
     skew,
-    unskew,
     wrap_angle,
-    angle_difference,
 )
 from repro.mathutils.geodesy import GeoPoint, GeodeticReference, EARTH_RADIUS_M
-from repro.mathutils.numerics import clamp, clamp_norm, clip_float, lerp, is_finite_array
+from repro.mathutils.numerics import clamp, clamp_norm, clip_float
 
 __all__ = [
     "quat_identity",
@@ -63,7 +57,6 @@ __all__ = [
     "quat_from_rotation_matrix",
     "quat_integrate",
     "quat_angle_between",
-    "quat_slerp",
     "quat_normalize_into",
     "quat_multiply_into",
     "quat_conjugate_into",
@@ -73,19 +66,12 @@ __all__ = [
     "quat_to_rotation_matrix_into",
     "quat_from_rotation_matrix_into",
     "quat_integrate_into",
-    "rotation_x",
-    "rotation_y",
-    "rotation_z",
     "skew",
-    "unskew",
     "wrap_angle",
-    "angle_difference",
     "GeoPoint",
     "GeodeticReference",
     "EARTH_RADIUS_M",
     "clamp",
     "clamp_norm",
     "clip_float",
-    "lerp",
-    "is_finite_array",
 ]

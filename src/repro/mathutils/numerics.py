@@ -43,13 +43,3 @@ def clamp_norm(vec: np.ndarray, max_norm: float) -> np.ndarray:
     if norm_sq <= max_norm * max_norm:
         return vec
     return vec * (max_norm / math.sqrt(norm_sq))
-
-
-def lerp(a: float, b: float, t: float) -> float:
-    """Linear interpolation from ``a`` to ``b`` with ``t`` in [0, 1]."""
-    return a + (b - a) * clamp(t, 0.0, 1.0)
-
-
-def is_finite_array(arr: np.ndarray) -> bool:
-    """True when every element of ``arr`` is finite (no NaN/inf)."""
-    return bool(np.isfinite(arr).all())

@@ -228,25 +228,6 @@ def quat_angle_between(q1: np.ndarray, q2: np.ndarray) -> float:
     return 2.0 * math.acos(dot)
 
 
-def quat_slerp(q1: np.ndarray, q2: np.ndarray, t: float) -> np.ndarray:
-    """Spherical linear interpolation between ``q1`` and ``q2``."""
-    q1 = quat_normalize(q1)
-    q2 = quat_normalize(q2)
-    dot = float(q1.dot(q2))
-    if dot < 0.0:
-        q2 = -q2
-        dot = -dot
-    if dot > 1.0 - 1e-9:
-        return quat_normalize(q1 + t * (q2 - q1))
-    theta = math.acos(min(1.0, dot))
-    # dot <= 1 - 1e-9 here (the near-parallel branch returned above), so
-    # theta >= ~4.5e-5 rad and sin_theta is strictly positive.
-    sin_theta = math.sin(theta)
-    a = math.sin((1.0 - t) * theta) / sin_theta  # reprolint: disable=NUM002
-    b = math.sin(t * theta) / sin_theta  # reprolint: disable=NUM002
-    return quat_normalize(a * q1 + b * q2)
-
-
 # ---------------------------------------------------------------------------
 # In-place variants for preallocated hot-loop buffers.
 #

@@ -1,28 +1,10 @@
-"""Rotation matrices, skew operators, and angle helpers."""
+"""The skew operator and angle wrapping."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-
-def rotation_x(angle: float) -> np.ndarray:
-    """Rotation matrix about the x axis by ``angle`` radians."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rotation_y(angle: float) -> np.ndarray:
-    """Rotation matrix about the y axis by ``angle`` radians."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rotation_z(angle: float) -> np.ndarray:
-    """Rotation matrix about the z axis by ``angle`` radians."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -36,19 +18,9 @@ def skew(v: np.ndarray) -> np.ndarray:
     )
 
 
-def unskew(m: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`skew` for (approximately) skew-symmetric ``m``."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to ``(-pi, pi]``."""
     wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
     if wrapped <= 0.0:
         wrapped += 2.0 * math.pi
     return wrapped - math.pi
-
-
-def angle_difference(a: float, b: float) -> float:
-    """Shortest signed angular difference ``a - b`` wrapped to (-pi, pi]."""
-    return wrap_angle(a - b)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import CampaignConfig, run_campaign, run_experiment
-from repro.core.campaign import quick_config
 from repro.core.experiments import ExperimentSpec, build_experiment_matrix
 from repro.core.faults import FaultSpec, FaultTarget, FaultType
 from repro.core.figures import (
@@ -32,13 +31,6 @@ def test_effective_injection_time_scales():
     # Floor keeps the injection after the takeoff transient.
     assert CampaignConfig(scale=0.01).effective_injection_time_s == 20.0
     assert CampaignConfig(injection_time_s=33.0).effective_injection_time_s == 33.0
-
-
-def test_quick_config_shape():
-    cfg = quick_config(workers=2, base_seed=7)
-    assert cfg.scale == 0.2
-    assert cfg.workers == 2
-    assert cfg.base_seed == 7
 
 
 def test_single_experiment_gold():

@@ -6,18 +6,14 @@ from pathlib import Path
 import pytest
 
 from repro.core.analysis import (
-    by_mission,
     check_paper_shapes,
-    duration_fault_grid,
     render_shape_checks,
-    severity_ranking,
 )
 from repro.core.io import export_csv, load_campaign, save_campaign
 from repro.core.paper_reference import (
     PAPER_TABLE2,
     PAPER_TABLE3,
     PAPER_TABLE4,
-    paper_component_order,
     paper_table3_row,
 )
 from repro.core.results import CampaignResult, ExperimentResult
@@ -63,28 +59,6 @@ def synthetic_campaign():
                     )
                     eid += 1
     return CampaignResult(results=results, scale=0.2, injection_time_s=20.0)
-
-
-def test_by_mission_rows():
-    rows = by_mission(synthetic_campaign())
-    assert len(rows) == 2
-    assert rows[0].label == "mission 1"
-    assert rows[0].runs == 42  # 21 faults x 2 durations
-
-
-def test_duration_fault_grid_complete():
-    grid = duration_fault_grid(synthetic_campaign())
-    assert len(grid) == 42  # 21 labels x 2 durations
-    assert grid[("Acc Zeros", 2.0)] == 100.0
-    assert grid[("Acc Zeros", 30.0)] == 0.0
-
-
-def test_severity_ranking_sorted():
-    rows = severity_ranking(synthetic_campaign())
-    assert len(rows) == 21
-    pcts = [r.completed_pct for r in rows]
-    assert pcts == sorted(pcts)
-    assert rows[-1].label in ("Acc Zeros", "Acc Noise", "Gyro Zeros")
 
 
 def test_shape_checks_pass_on_paper_shaped_campaign():
@@ -194,10 +168,6 @@ def test_paper_table3_lookup():
     assert row.completed_pct == 40.0
     with pytest.raises(KeyError):
         paper_table3_row("Nope")
-
-
-def test_paper_component_order():
-    assert paper_component_order() == ["Acc", "Gyro", "IMU"]
 
 
 def test_paper_table4_splits_sum_to_100():

@@ -396,6 +396,13 @@ def test_load_campaign_accepts_legacy_v1(tmp_path):
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(payload))
     loaded = load_campaign(path)
-    assert loaded.results[0].attempts == 1
-    assert loaded.results[0].error is None
-    assert loaded.results[0].completed
+    # Every field v1 lacks takes its dataclass default.
+    assert loaded.results == [
+        ExperimentResult(0, 2, "Gold Run", None, None, None,
+                         MissionOutcome.COMPLETED, 100.0, 1.0, 0, 0, 0.5)
+    ]
+    # A missing field without a default is a torn row, not a default.
+    del payload["results"][0]["max_deviation_m"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(KeyError):
+        load_campaign(path)

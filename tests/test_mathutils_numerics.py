@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mathutils import clamp, clamp_norm, is_finite_array, lerp
+from repro.mathutils import clamp, clamp_norm
 
 
 def test_clamp_inside_range():
@@ -41,20 +41,3 @@ def test_clamp_norm_negative_bound_raises():
 def test_clamp_norm_zero_bound():
     out = clamp_norm(np.array([1.0, 1.0]), 0.0)
     assert np.allclose(out, 0.0)
-
-
-def test_lerp_endpoints_and_midpoint():
-    assert lerp(0.0, 10.0, 0.0) == 0.0
-    assert lerp(0.0, 10.0, 1.0) == 10.0
-    assert lerp(0.0, 10.0, 0.5) == 5.0
-
-
-def test_lerp_clamps_t():
-    assert lerp(0.0, 10.0, 2.0) == 10.0
-    assert lerp(0.0, 10.0, -1.0) == 0.0
-
-
-def test_is_finite_array():
-    assert is_finite_array(np.array([1.0, 2.0]))
-    assert not is_finite_array(np.array([1.0, np.nan]))
-    assert not is_finite_array(np.array([np.inf, 0.0]))

@@ -18,7 +18,6 @@ from repro.mathutils import (
     quat_normalize,
     quat_rotate,
     quat_rotate_inverse,
-    quat_slerp,
     quat_to_euler,
     quat_to_rotation_matrix,
 )
@@ -137,20 +136,6 @@ def test_angle_between_known_rotation():
     q1 = quat_identity()
     q2 = quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.7)
     assert math.isclose(quat_angle_between(q1, q2), 0.7, rel_tol=1e-9)
-
-
-def test_slerp_endpoints():
-    q1 = quat_from_euler(0.0, 0.0, 0.0)
-    q2 = quat_from_euler(0.0, 0.0, 1.0)
-    assert quat_angle_between(quat_slerp(q1, q2, 0.0), q1) < 1e-9
-    assert quat_angle_between(quat_slerp(q1, q2, 1.0), q2) < 1e-9
-
-
-def test_slerp_midpoint_half_angle():
-    q1 = quat_identity()
-    q2 = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 1.0)
-    mid = quat_slerp(q1, q2, 0.5)
-    assert math.isclose(quat_angle_between(q1, mid), 0.5, rel_tol=1e-9)
 
 
 def test_conjugate_negates_vector_part():

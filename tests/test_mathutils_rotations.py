@@ -1,41 +1,11 @@
-"""Unit tests for rotation matrices and angle helpers."""
+"""Unit tests for the skew operator and angle wrapping."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.mathutils import (
-    angle_difference,
-    rotation_x,
-    rotation_y,
-    rotation_z,
-    skew,
-    unskew,
-    wrap_angle,
-)
-
-
-@pytest.mark.parametrize("factory", [rotation_x, rotation_y, rotation_z])
-def test_rotation_matrices_are_orthonormal(factory):
-    rot = factory(0.73)
-    assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
-    assert math.isclose(np.linalg.det(rot), 1.0, rel_tol=1e-12)
-
-
-def test_rotation_z_rotates_x_to_y():
-    out = rotation_z(math.pi / 2) @ np.array([1.0, 0.0, 0.0])
-    assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-12)
-
-
-def test_rotation_x_rotates_y_to_z():
-    out = rotation_x(math.pi / 2) @ np.array([0.0, 1.0, 0.0])
-    assert np.allclose(out, [0.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_rotation_y_rotates_z_to_x():
-    out = rotation_y(math.pi / 2) @ np.array([0.0, 0.0, 1.0])
-    assert np.allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
+from repro.mathutils import skew, wrap_angle
 
 
 def test_skew_cross_product_equivalence():
@@ -47,11 +17,6 @@ def test_skew_cross_product_equivalence():
 def test_skew_antisymmetric():
     m = skew(np.array([1.0, 2.0, 3.0]))
     assert np.allclose(m, -m.T)
-
-
-def test_unskew_inverts_skew():
-    v = np.array([0.3, -0.7, 1.9])
-    assert np.allclose(unskew(skew(v)), v)
 
 
 @pytest.mark.parametrize(
@@ -67,8 +32,3 @@ def test_unskew_inverts_skew():
 )
 def test_wrap_angle(angle, expected):
     assert math.isclose(wrap_angle(angle), expected, abs_tol=1e-12)
-
-
-def test_angle_difference_shortest_path():
-    assert math.isclose(angle_difference(3.0, -3.0), -0.2831853071795862, abs_tol=1e-9)
-    assert math.isclose(angle_difference(0.1, -0.1), 0.2, abs_tol=1e-12)
