@@ -1,37 +1,32 @@
 #!/usr/bin/env python3
-"""Multi-UAV U-space surveillance: brokers, tracker, and conflicts.
+"""Multi-UAV U-space surveillance: 1 Hz tracks and conflicts.
 
-Reproduces the paper's experimental environment topology (Fig. 1): each
-drone publishes 1 Hz track reports through an edge broker to the core
-broker, where the tracker service maintains the surveillance picture.
-A conflict detector then checks pairwise outer-bubble separation — the
-U-space use the two-layer bubble exists for.
+Four drones of the paper's Valencia scenario fly together. Each one's
+bubble monitor keeps its 1 Hz track of reported positions, the
+surveillance picture U-space holds (Fig. 1). A conflict detector then
+checks pairwise outer-bubble separation — the U-space use the two-layer
+bubble exists for.
 
 One drone flies with a fault injected into its accelerometer, so its
 *reported* track (the EKF estimate U-space sees) deviates, potentially
 conflicting with its neighbours' bubbles.
 
-Run: ``python examples/swarm_conflicts.py``
+Run: ``python examples/swarm_conflicts.py``. Its stdout must equal
+``examples/swarm_conflicts.expected``, which CI diffs it against.
 """
 
 from repro import FaultSpec, FaultTarget, FaultType, UavSystem, valencia_missions
-from repro.telemetry import CoreBroker, EdgeBroker, Tracker
 from repro.uspace import ConflictDetector, inner_bubble_radius, max_track_distance_m
 
 
 def main():
     plans = valencia_missions(scale=0.15)[:4]
-    core = CoreBroker()
-    tracker = Tracker(core)
-
-    # One edge broker per operating area, as in the paper's platform.
     systems = []
-    for index, plan in enumerate(plans):
-        edge = EdgeBroker(f"edge-{index}", upstream=core)
+    for plan in plans:
         fault = None
         if plan.mission_id == 3:
             fault = FaultSpec(FaultType.NOISE, FaultTarget.ACCEL, 25.0, 10.0)
-        systems.append(UavSystem(plan, fault=fault, broker=edge))
+        systems.append(UavSystem(plan, fault=fault))
 
     for system in systems:
         system.commander.arm_and_takeoff(system.physics.time_s)
@@ -54,12 +49,12 @@ def main():
             if system.commander.terminal:
                 active.remove(system)
         step += 1
-        if step % 100 == 0:  # 1 Hz conflict sweep over the tracker picture
-            positions = {}
-            for plan in plans:
-                latest = tracker.latest(plan.mission_id)
-                if latest is not None:
-                    positions[plan.mission_id] = latest.position_array
+        if step % 100 == 0:  # 1 Hz conflict sweep over the latest tracks
+            positions = {
+                s.plan.mission_id: s.bubble_monitor.history[-1].position_ned
+                for s in systems
+                if s.bubble_monitor.history
+            }
             if len(positions) >= 2:
                 for c in detector.check_instant(step / 100.0, positions, radii):
                     print(f"t={c.time_s:6.1f}s  CONFLICT drones {c.drone_a}<->{c.drone_b} "
@@ -69,12 +64,11 @@ def main():
             break
 
     print("\nSurveillance summary:")
-    for plan in plans:
-        count = tracker.track_count(plan.mission_id)
+    for system in systems:
+        plan = system.plan
+        count = system.bubble_monitor.counts.tracking_instances
         print(f"  drone {plan.mission_id} ({plan.description}): {count} track reports")
     print(f"  total conflict events: {detector.total_conflicts}")
-    print(f"  core broker delivered {core.published_count} messages, "
-          f"{len(core.delivery_errors)} delivery errors")
 
 
 if __name__ == "__main__":

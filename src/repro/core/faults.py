@@ -25,7 +25,7 @@ physical saturation values of the modelled MEMS part.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,10 +151,6 @@ class FaultSpec:
             FaultType.NOISE: "Noise",
         }
         return f"{self.target.label} {names[self.fault_type]}"
-
-    def with_seed(self, seed: int) -> "FaultSpec":
-        """Copy of this spec with a different random seed."""
-        return replace(self, seed=seed)
 
 
 class FaultBehavior:

@@ -160,10 +160,6 @@ class InnovationMonitor:
             )
         return flags
 
-    def any_velocity_position_failed(self) -> bool:
-        """PX4-style 'filter fault' proxy used by the failsafe engine."""
-        return self.group_failed("gps_pos") or self.group_failed("gps_vel")
-
     def test_ratio(self, channel: str) -> float:
         """Most recent normalised innovation test ratio for ``channel``."""
         return self.channels[channel].last_test_ratio

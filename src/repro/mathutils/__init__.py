@@ -39,7 +39,6 @@ from repro.mathutils.rotations import (
     skew,
     wrap_angle,
 )
-from repro.mathutils.geodesy import GeoPoint, GeodeticReference, EARTH_RADIUS_M
 from repro.mathutils.numerics import clamp, clamp_norm, clip_float
 
 __all__ = [
@@ -68,9 +67,6 @@ __all__ = [
     "quat_integrate_into",
     "skew",
     "wrap_angle",
-    "GeoPoint",
-    "GeodeticReference",
-    "EARTH_RADIUS_M",
     "clamp",
     "clamp_norm",
     "clip_float",

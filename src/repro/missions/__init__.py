@@ -2,8 +2,7 @@
 
 from repro.missions.spec import DroneSpec
 from repro.missions.plan import MissionPlan, Waypoint, route_polyline, polyline_length
-from repro.missions.valencia import valencia_missions, VALENCIA_ORIGIN
-from repro.missions.plan_io import save_plans, load_plans
+from repro.missions.valencia import valencia_missions
 
 __all__ = [
     "DroneSpec",
@@ -12,7 +11,4 @@ __all__ = [
     "route_polyline",
     "polyline_length",
     "valencia_missions",
-    "VALENCIA_ORIGIN",
-    "save_plans",
-    "load_plans",
 ]

@@ -19,12 +19,8 @@ from __future__ import annotations
 
 import math
 
-from repro.mathutils import GeoPoint
 from repro.missions.plan import MissionPlan, Waypoint
 from repro.missions.spec import DroneSpec, kmh
-
-#: Geodetic anchor of the local NED frame (Valencia city centre).
-VALENCIA_ORIGIN = GeoPoint(39.4699, -0.3763, 0.0)
 
 #: Scenario ceiling: 60 ft in metres; cruises stay below it.
 CEILING_M = 18.29

@@ -12,10 +12,7 @@ enabled mode the observer:
   step and emits them as point events;
 * records every step into its black box, a ring-mode
   :class:`~repro.telemetry.recorder.FlightRecorder`;
-* mirrors every point event into the metrics registry (and, when a
-  telemetry broker is attached, onto the broker's ``event/<id>``
-  topic, where the existing :class:`~repro.telemetry.tracker.Tracker`
-  picks it up);
+* mirrors every point event into the metrics registry;
 * on run end, dumps the black box for CRASHED / FAILSAFE / TIMEOUT
   outcomes.
 
@@ -39,7 +36,6 @@ from repro.sim.dynamics import PHYSICS_DT_S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system import UavSystem
-    from repro.telemetry.broker import Broker
     from repro.telemetry.recorder import FlightRecorder
 
 
@@ -79,8 +75,6 @@ class Observer:
         self._flight_seconds = self.metrics.histogram(
             "run_flight_duration_seconds", "Flight duration per finished run."
         )
-        self._broker: "Broker | None" = None
-        self._broker_drone_id = 0
         # Edge-detection state (observer-internal; never read by the sim).
         self._fault_active = False
         self._inner = 0
@@ -90,25 +84,8 @@ class Observer:
 
     # -- wiring --------------------------------------------------------
 
-    def attach_broker(self, broker: "Broker", drone_id: int) -> None:
-        """Mirror point events onto ``event/<drone_id>`` for the tracker."""
-        self._broker = broker
-        self._broker_drone_id = drone_id
-
     def _on_point(self, event: TraceEvent) -> None:
         self._events_total.labels(event=event.name).inc()
-        if self._broker is not None:
-            from repro.telemetry.messages import FlightEvent
-
-            self._broker.publish(
-                f"event/{self._broker_drone_id}",
-                FlightEvent(
-                    drone_id=self._broker_drone_id,
-                    time_s=event.time_s,
-                    kind=event.name,
-                    data=dict(event.attrs),
-                ),
-            )
 
     # -- vehicle hooks (called by UavSystem) ---------------------------
 
@@ -223,9 +200,6 @@ class _NullObserver(Observer):
         self.blackbox = None  # type: ignore[assignment]
         self.blackbox_dir = None
         self.blackbox_name = None
-
-    def attach_broker(self, broker: "Broker", drone_id: int) -> None:
-        pass
 
     def on_run_start(self, system: "UavSystem") -> None:
         pass

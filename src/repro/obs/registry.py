@@ -248,23 +248,6 @@ class MetricsRegistry:
             raise ValueError(f"metric {name!r} is a histogram; read its fields")
         return child.value
 
-    def as_dict(self) -> dict[str, dict[str, float]]:
-        """Flat snapshot for tests/logs: family -> {label-key: value}."""
-        out: dict[str, dict[str, float]] = {}
-        for family in self.families():
-            rows: dict[str, float] = {}
-            for values, child in family.samples():
-                key = ",".join(
-                    f"{k}={v}" for k, v in zip(family.label_names, values)
-                )
-                if isinstance(child, Histogram):
-                    rows[f"{key}#count" if key else "#count"] = float(child.count)
-                    rows[f"{key}#sum" if key else "#sum"] = child.total
-                else:
-                    rows[key] = child.value
-            out[family.name] = rows
-        return out
-
 
 class _NullFamily(Family):
     """Family whose every child is the same no-op instrument."""

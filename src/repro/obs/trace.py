@@ -95,8 +95,8 @@ class TraceCollector(EventSink):
         self._open: list[TraceEvent] = []  # span-begin stack
         self._phase_span: TraceEvent | None = None
         #: Optional tap called with every point event — the observer
-        #: uses it to feed metrics and the telemetry broker without the
-        #: emitting module knowing either exists.
+        #: uses it to feed metrics without the emitting module knowing
+        #: they exist.
         self.on_point: Callable[[TraceEvent], None] | None = None
 
     # -- spans ---------------------------------------------------------

@@ -44,7 +44,7 @@ class ObsReadOnlyRule(Rule):
     obs-enabled and obs-disabled runs — and (b) assignments, augmented assignments,
     deletes, or in-place mutating method calls targeting an attribute
     or subscript chain rooted at a function parameter other than
-    ``self``/``cls`` (the observed system, broker, or event objects
+    ``self``/``cls`` (the observed system or event objects
     handed to observer hooks). Local variables and ``self`` state are
     free: observers own their rings, registries, and span stacks.
     """

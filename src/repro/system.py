@@ -7,10 +7,10 @@ Wires together, in the paper's architecture (Fig. 1):
     physics
 
 plus the commander/navigator/failsafe vehicle management, the bubble
-monitor fed at U-space tracking instances, the flight recorder, and an
-optional telemetry broker. The flight recorder is the run's 5 Hz flight
-log; an observer's black box is the same recorder kept as a ring and
-written every tick, and both dump to one format.
+monitor fed at U-space tracking instances, and the flight recorder. The
+flight recorder is the run's 5 Hz flight log; an observer's black box is
+the same recorder kept as a ring and written every tick, and both dump
+to one format.
 
 The loop runs at a fixed 100 Hz physics/control rate with GPS at 5 Hz,
 baro/mag at 20 Hz, and tracking at 1 Hz. One step is the named stages
@@ -60,7 +60,7 @@ from repro.sim import (
     WindModel,
 )
 from repro.sim.motors import MAX_THRUST_N
-from repro.telemetry import Broker, FlightRecorder, TrackMessage
+from repro.telemetry import FlightRecorder
 from repro.uspace import BubbleMonitor
 
 
@@ -129,7 +129,6 @@ class UavSystem:
         plan: MissionPlan,
         config: SystemConfig | None = None,
         fault: FaultSpec | None = None,
-        broker: Broker | None = None,
         obs: Observer | None = None,
     ):
         self.plan = plan
@@ -191,12 +190,9 @@ class UavSystem:
         self.commander.obs = self.obs.trace
         self.failsafe.obs = self.obs.trace
         self.redundancy.obs = self.obs.trace
-        if broker is not None:
-            self.obs.attach_broker(broker, plan.mission_id)
         self.recorder = FlightRecorder(
             rate_hz=FLIGHT_LOG_RATE_HZ, registry=self.obs.metrics
         )
-        self.broker = broker
         #: The step cap of this run (:meth:`flying`); ``finish_run`` may
         #: set another.
         self.hard_cap_s = max(
@@ -402,26 +398,16 @@ class UavSystem:
         """Bubble tracking and the flight log (reported = estimated state).
 
         The airspeed and the fault flag are only computed on the ticks
-        where the 1 Hz tracker / 5 Hz recorder actually consume them. A
-        flight-log row carries the step's start time and end state.
+        where the 1 Hz bubble monitor / 5 Hz recorder actually consume
+        them. A flight-log row carries the step's start time and end
+        state.
         """
         t = self._t
         ekf = self.ekf
         if self.bubble_monitor.due(t):
             velocity = ekf.velocity_ned
             airspeed = math.sqrt(float(velocity.dot(velocity)))
-            point = self.bubble_monitor.maybe_track(t, ekf.position_ned, airspeed)
-            if point is not None and self.broker is not None:
-                self.broker.publish(
-                    f"track/{self.plan.mission_id}",
-                    TrackMessage(
-                        drone_id=self.plan.mission_id,
-                        time_s=t,
-                        position_ned=tuple(ekf.position_ned),
-                        velocity_ned=tuple(ekf.velocity_ned),
-                        airspeed_m_s=airspeed,
-                    ),
-                )
+            self.bubble_monitor.maybe_track(t, ekf.position_ned, airspeed)
         if self.recorder.due(t):
             self.recorder.maybe_record(self, t, self.injector.is_active(t))
 
@@ -578,34 +564,24 @@ def fly_fleet(flights: Iterable[Flight]) -> Iterator[Flight]:
     and the bits it would fly alone. A lone vehicle flies by
     :meth:`UavSystem.step`.
 
-    The fleet drops a vehicle once it has yielded it, so the caller
-    decides when it is freed.
+    The fleet drops a flight before it yields it, so the caller decides
+    when its vehicle is freed.
     """
     live = list(flights)
-    stages = UavSystem.STAGES
     while len(live) > 1:
-        staying = [f for f in live if f.system.flying(f.until_s)]
-        if len(staying) < len(live):
-            leaving = [f for f in live if f not in staying]
-            live = staying
-            yield from leaving
-            continue
-        systems = [f.system for f in live]
-        errors: dict[UavSystem, Exception] = {}
-        for stage in stages:
-            for system in systems:
-                try:
-                    stage(system)
-                except Exception as exc:
-                    errors[system] = exc
-            if errors:
-                systems = [s for s in systems if s not in errors]
-        if errors:
-            for flight in live:
-                flight.error = errors.get(flight.system)
-            failed = [f for f in live if f.error is not None]
-            live = [f for f in live if f.error is None]
-            yield from failed
+        stays = [f.system.flying(f.until_s) for f in live]
+        if all(stays):
+            if not _fly_tick(live):
+                continue
+            stays = [f.error is None for f in live]
+        # Out of ``live`` before it is yielded: once the caller resumes,
+        # no list or local of the fleet holds a flight it was handed.
+        kept = 0
+        for stay in stays:
+            if stay:
+                kept += 1
+            else:
+                yield live.pop(kept)
     for flight in live:
         system = flight.system
         try:
@@ -614,6 +590,27 @@ def fly_fleet(flights: Iterable[Flight]) -> Iterator[Flight]:
         except Exception as exc:
             flight.error = exc
         yield flight
+
+
+def _fly_tick(live: list[Flight]) -> bool:
+    """Run one step of every flight of ``live``, stage-major; whether a
+    stage raised. A flight whose stage raised carries the exception on
+    ``error`` and runs no further stage."""
+    systems = [f.system for f in live]
+    errors: dict[UavSystem, Exception] = {}
+    for stage in UavSystem.STAGES:
+        for system in systems:
+            try:
+                stage(system)
+            except Exception as exc:
+                errors[system] = exc
+        if errors:
+            systems = [s for s in systems if s not in errors]
+    if not errors:
+        return False
+    for flight in live:
+        flight.error = errors.get(flight.system)
+    return True
 
 
 def _fly_alone(flight: Flight) -> None:

@@ -1,16 +1,12 @@
-"""Telemetry: flight recording and the tracking broker tree.
+"""Telemetry: the flight recorder, one format for the flight log and
+the black box.
 
-Reproduces the communication side of the paper's experimental
-environment (Fig. 1): each vehicle publishes track messages through an
-edge broker to a core broker, where the tracker service maintains the
-per-drone track history that U-space surveillance (and our bubble
-monitor) consumes. Brokers are in-process but preserve the pub/sub
-topology so multi-vehicle examples exercise the same data paths.
+The paper's platform records every flight; :class:`FlightRecorder` is
+that log. Its U-space track stream (Fig. 1) is not modelled as
+transport: the 1 Hz track of each drone is
+:attr:`repro.uspace.BubbleMonitor.history`, fed directly by the vehicle.
 """
 
-from repro.telemetry.messages import TrackMessage, FlightEvent
-from repro.telemetry.broker import Broker, EdgeBroker, CoreBroker
-from repro.telemetry.tracker import Tracker
 from repro.telemetry.recorder import (
     COLUMNS,
     FlightRecorder,
@@ -19,12 +15,6 @@ from repro.telemetry.recorder import (
 )
 
 __all__ = [
-    "TrackMessage",
-    "FlightEvent",
-    "Broker",
-    "EdgeBroker",
-    "CoreBroker",
-    "Tracker",
     "COLUMNS",
     "FlightRecorder",
     "load_recording",

@@ -16,7 +16,6 @@ from repro.uspace.bubble import (
 )
 from repro.uspace.monitor import BubbleMonitor, ViolationCounts
 from repro.uspace.conflicts import ConflictDetector, Conflict
-from repro.uspace.airspace import OperatingArea, ContainmentMonitor, DEFAULT_CEILING_M
 
 __all__ = [
     "TRACKING_INTERVAL_S",
@@ -28,7 +27,4 @@ __all__ = [
     "ViolationCounts",
     "ConflictDetector",
     "Conflict",
-    "OperatingArea",
-    "ContainmentMonitor",
-    "DEFAULT_CEILING_M",
 ]

@@ -111,13 +111,6 @@ def test_spec_validation():
         FaultSpec(FaultType.NOISE, FaultTarget.IMU, 0.0, 1.0, noise_fraction=0.0)
 
 
-def test_spec_with_seed():
-    spec = FaultSpec(FaultType.ZEROS, FaultTarget.IMU, 0.0, 1.0, seed=1)
-    other = spec.with_seed(42)
-    assert other.seed == 42
-    assert other.fault_type == spec.fault_type
-
-
 def test_target_component_flags():
     assert FaultTarget.ACCEL.affects_accel and not FaultTarget.ACCEL.affects_gyro
     assert FaultTarget.GYRO.affects_gyro and not FaultTarget.GYRO.affects_accel
@@ -208,7 +201,7 @@ def test_fault_spec_serialization_changes_fingerprint():
     reseeded = [
         s
         if s.fault is None
-        else dataclasses.replace(s, fault=s.fault.with_seed(s.fault.seed + 1))
+        else dataclasses.replace(s, fault=dataclasses.replace(s.fault, seed=s.fault.seed + 1))
         for s in specs
     ]
     assert campaign_fingerprint(config, reseeded) != base

@@ -60,7 +60,6 @@ def test_monitor_group_queries():
     assert mon.group_failed("gps_vel")
     assert not mon.group_failed("gps_pos")
     assert mon.group_max_consecutive("gps_vel") == 20
-    assert mon.any_velocity_position_failed()
 
 
 def test_monitor_clear_group_streaks_keeps_window():

@@ -11,6 +11,8 @@ harness's retry path.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 from pathlib import Path
 from typing import Any, Callable
 
@@ -145,8 +147,37 @@ def test_fleet_stops_each_vehicle_at_its_own_time():
         assert system.recorder.rows().tobytes() == reference.recorder.rows().tobytes()
 
 
+def test_fleet_keeps_no_flight_it_has_yielded(monkeypatch):
+    """A flight the caller drops is freed before the fleet yields the
+    next one: one that stops, one that raises, two that stop on the
+    same tick, and the last."""
+    fail_stage(
+        monkeypatch,
+        "attitude_loop",
+        lambda s: s.plan.mission_id == 1 and s.physics.time_s >= 4.0,
+        RuntimeError,  # a class: each raise makes a fresh exception
+    )
+    flights = [Flight(vehicle(2, None), until_s=t) for t in (3.0, 5.0, 5.0, 7.0)]
+    flights.append(Flight(vehicle(1, None)))
+    fleet = fly_fleet(iter(flights))
+    del flights
+    yielded: list[weakref.ref[UavSystem]] = []
+    errors = []
+    for flight in fleet:
+        gc.collect()
+        alive = [i for i, ref in enumerate(yielded) if ref() is not None]
+        assert alive == [], f"yielded flights {alive} outlive their yield"
+        yielded.append(weakref.ref(flight.system))
+        errors.append(flight.error is not None)
+        del flight
+    assert errors == [False, True, False, False, False]
+
+
 def fail_stage(
-    monkeypatch, name: str, when: Callable[[UavSystem], bool], exc: BaseException
+    monkeypatch,
+    name: str,
+    when: Callable[[UavSystem], bool],
+    exc: BaseException | type[BaseException],
 ) -> None:
     """Make stage ``name`` raise ``exc``, instead of running, on every
     call where ``when(system)`` holds."""

@@ -79,17 +79,6 @@ def test_get_or_create_is_kind_checked():
         reg.counter("x_total", labels=("a",))
 
 
-def test_as_dict_snapshot():
-    reg = MetricsRegistry()
-    reg.counter("b_total", labels=("k",)).labels(k="v").inc(3)
-    reg.gauge("a_gauge").default.set(1.5)
-    reg.histogram("h_seconds", buckets=(1.0,)).default.observe(0.5)
-    snap = reg.as_dict()
-    assert list(snap) == ["a_gauge", "b_total", "h_seconds"]  # sorted
-    assert snap["b_total"] == {"k=v": 3.0}
-    assert snap["h_seconds"] == {"#count": 1.0, "#sum": 0.5}
-
-
 # ------------------------------------------------------------- null mode
 
 

@@ -11,6 +11,8 @@ from repro.obs.export import (
     write_chrome_trace,
     write_events_jsonl,
 )
+from repro.obs.observer import Observer
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import (
     NULL_SINK,
     TraceCollector,
@@ -89,6 +91,15 @@ def test_points_attach_to_open_span_and_tap_fires():
     assert tc.points("imu.switchover")[0].attrs == {
         "from_member": 0, "to_member": 1,
     }
+
+
+def test_observer_counts_point_events_by_name():
+    obs = Observer(registry=MetricsRegistry())
+    obs.trace.emit("failsafe.engaged", 12.5, trigger="attitude_excursion")
+    obs.trace.emit("imu.switchover", 13.0, from_member=0, to_member=1)
+    obs.trace.emit("imu.switchover", 14.0, from_member=1, to_member=2)
+    assert obs.metrics.value("obs_events_total", event="failsafe.engaged") == 1.0
+    assert obs.metrics.value("obs_events_total", event="imu.switchover") == 2.0
 
 
 def test_null_sink_accepts_everything_silently():

@@ -1,4 +1,4 @@
-"""Property tests: airspace geometry and EKF numerical invariants."""
+"""Property tests: EKF numerical invariants."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,29 +7,6 @@ from hypothesis import strategies as st
 from repro.estimation import Ekf
 from repro.sensors.gps import GpsSample
 from repro.sensors.imu import ImuSample
-from repro.uspace.airspace import OperatingArea
-
-coords = st.floats(-10_000.0, 10_000.0, allow_nan=False)
-positions = st.builds(lambda n, e, d: np.array([n, e, d]), coords, coords, coords)
-
-
-@given(positions)
-def test_violation_distance_zero_iff_contained(pos):
-    area = OperatingArea(half_extent_m=2500.0, ceiling_m=18.29)
-    inside = area.contains(pos)
-    distance = area.violation_distance_m(pos)
-    assert (distance == 0.0) == inside
-    assert distance >= 0.0
-
-
-@given(positions, st.floats(10.0, 5000.0), st.floats(5.0, 100.0))
-def test_bigger_areas_contain_more(pos, half_extent, ceiling):
-    small = OperatingArea(half_extent_m=half_extent, ceiling_m=ceiling)
-    big = OperatingArea(half_extent_m=half_extent * 2, ceiling_m=ceiling * 2)
-    if small.contains(pos):
-        assert big.contains(pos)
-    assert big.violation_distance_m(pos) <= small.violation_distance_m(pos) + 1e-9
-
 
 accel_vals = st.floats(-150.0, 150.0, allow_nan=False)
 gyro_vals = st.floats(-30.0, 30.0, allow_nan=False)

@@ -1,15 +1,13 @@
-"""Property-based tests for bubble formulas, geodesy, and aggregation."""
+"""Property-based tests for bubble formulas and aggregation."""
 
 import math
 
-import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.metrics import failure_analysis, summarize
 from repro.core.results import ExperimentResult
 from repro.flightstack.commander import MissionOutcome
-from repro.mathutils import GeoPoint, GeodeticReference
 from repro.uspace import OuterBubble, inner_bubble_radius
 
 positive = st.floats(0.0, 100.0, allow_nan=False)
@@ -48,31 +46,6 @@ def test_outer_bubble_finite_and_positive(inner, track):
         out = bubble.update(airspeed, covered)
         assert math.isfinite(out)
         assert out > 0.0
-
-
-# ----------------------------------------------------------------- Geodesy
-
-
-coords = st.tuples(
-    st.floats(-80.0, 80.0, allow_nan=False),
-    st.floats(-179.0, 179.0, allow_nan=False),
-    st.floats(-100.0, 1000.0, allow_nan=False),
-)
-
-
-@given(coords, st.tuples(st.floats(-5000, 5000), st.floats(-5000, 5000), st.floats(-500, 500)))
-@settings(max_examples=100)
-def test_geodesy_round_trip(origin, ned):
-    ref = GeodeticReference(GeoPoint(*origin))
-    ned_arr = np.array(ned)
-    back = ref.to_local(ref.to_geodetic(ned_arr))
-    assert np.allclose(back, ned_arr, atol=1e-5)
-
-
-@given(coords)
-def test_origin_projects_to_zero(origin):
-    ref = GeodeticReference(GeoPoint(*origin))
-    assert np.allclose(ref.to_local(ref.origin), 0.0, atol=1e-9)
 
 
 # ------------------------------------------------------------- Aggregation

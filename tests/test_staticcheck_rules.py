@@ -707,7 +707,7 @@ def test_obs001_fires_in_the_flight_recorder_module(tmp_path):
     """
     report = lint(
         tmp_path,
-        {"telemetry/recorder.py": mutating, "telemetry/broker.py": mutating},
+        {"telemetry/recorder.py": mutating, "telemetry/other.py": mutating},
         ObsReadOnlyRule,
     )
     assert rule_ids(report) == ["OBS001"] * 3

@@ -17,7 +17,6 @@ from repro import (
     UavSystem,
     valencia_missions,
 )
-from repro.telemetry import CoreBroker, Tracker
 
 SCALE = 0.1
 
@@ -79,20 +78,6 @@ def test_determinism_same_seed(plans):
     assert a.flight_duration_s == b.flight_duration_s
     assert a.inner_violations == b.inner_violations
     assert a.distance_km == b.distance_km
-
-
-def test_telemetry_published_through_broker_tree(plans):
-    core = CoreBroker()
-    tracker = Tracker(core)
-    system = UavSystem(plans[2], broker=core)
-    result = system.run()
-    assert result.outcome == MissionOutcome.COMPLETED
-    # ~1 track per second of flight.
-    count = tracker.track_count(2)
-    assert count >= int(result.flight_duration_s * 0.8)
-    latest = tracker.latest(2)
-    assert latest is not None
-    assert latest.airspeed_m_s >= 0.0
 
 
 def test_recorder_captures_fault_window(plans):

@@ -1,18 +1,9 @@
-"""Unit tests for brokers, tracker, and the flight recorder."""
+"""Unit tests for the flight recorder."""
 
 import numpy as np
 import pytest
 
-from repro.telemetry import (
-    COLUMNS,
-    Broker,
-    CoreBroker,
-    EdgeBroker,
-    FlightRecorder,
-    TrackMessage,
-    Tracker,
-)
-from repro.telemetry.messages import FlightEvent
+from repro.telemetry import COLUMNS, FlightRecorder
 
 
 class Stub:
@@ -47,120 +38,6 @@ def fake_system(est=(1.0, 2.0, -15.0), truth=(1.0, 2.0, -15.0),
         failsafe=Stub(state=Stub(value=failsafe)),
         redundancy=Stub(primary=0),
     )
-
-
-def track(drone_id=1, t=0.0):
-    return TrackMessage(
-        drone_id=drone_id,
-        time_s=t,
-        position_ned=(1.0, 2.0, -15.0),
-        velocity_ned=(3.0, 0.0, 0.0),
-        airspeed_m_s=3.0,
-    )
-
-
-# ------------------------------------------------------------------ Broker
-
-
-def test_exact_topic_delivery():
-    broker = Broker("test")
-    got = []
-    broker.subscribe("track/1", lambda topic, msg: got.append((topic, msg)))
-    delivered = broker.publish("track/1", "hello")
-    assert delivered == 1
-    assert got == [("track/1", "hello")]
-
-
-def test_wildcard_subscription():
-    broker = Broker("test")
-    got = []
-    broker.subscribe("track/*", lambda topic, msg: got.append(topic))
-    broker.publish("track/1", "a")
-    broker.publish("track/2", "b")
-    broker.publish("event/1", "c")
-    assert got == ["track/1", "track/2"]
-
-
-def test_no_subscribers_is_fine():
-    broker = Broker("test")
-    assert broker.publish("nobody/listens", "x") == 0
-
-
-def test_subscriber_error_isolated():
-    broker = Broker("test")
-    got = []
-
-    def bad(topic, msg):
-        raise RuntimeError("boom")
-
-    broker.subscribe("t", bad)
-    broker.subscribe("t", lambda topic, msg: got.append(msg))
-    delivered = broker.publish("t", 42)
-    assert delivered == 1  # the healthy subscriber still got it
-    assert got == [42]
-    assert len(broker.delivery_errors) == 1
-    assert isinstance(broker.delivery_errors[0].error, RuntimeError)
-
-
-def test_edge_broker_forwards_upstream():
-    core = CoreBroker()
-    edge = EdgeBroker("edge-1", upstream=core)
-    got_core, got_edge = [], []
-    core.subscribe("track/1", lambda t, m: got_core.append(m))
-    edge.subscribe("track/1", lambda t, m: got_edge.append(m))
-    edge.publish("track/1", "msg")
-    assert got_core == ["msg"]
-    assert got_edge == ["msg"]
-
-
-def test_broker_tree_two_edges():
-    core = CoreBroker()
-    tracker = Tracker(core)
-    edge_a = EdgeBroker("edge-a", upstream=core)
-    edge_b = EdgeBroker("edge-b", upstream=core)
-    edge_a.publish("track/1", track(1, 0.0))
-    edge_b.publish("track/2", track(2, 0.0))
-    assert tracker.track_count(1) == 1
-    assert tracker.track_count(2) == 1
-
-
-# ----------------------------------------------------------------- Tracker
-
-
-def test_tracker_stores_history_in_order():
-    core = CoreBroker()
-    tracker = Tracker(core)
-    core.publish("track/1", track(1, 0.0))
-    core.publish("track/1", track(1, 1.0))
-    assert tracker.track_count(1) == 2
-    assert tracker.latest(1).time_s == 1.0
-
-
-def test_tracker_events():
-    core = CoreBroker()
-    tracker = Tracker(core)
-    core.publish("event/1", FlightEvent(1, 5.0, "failsafe", "gyro_rate"))
-    assert tracker.events[1][0].kind == "failsafe"
-
-
-def test_tracker_latest_unknown_drone():
-    tracker = Tracker(CoreBroker())
-    assert tracker.latest(99) is None
-    assert tracker.track_count(99) == 0
-
-
-def test_tracker_rejects_wrong_message_type():
-    core = CoreBroker()
-    tracker = Tracker(core)
-    core.publish("track/1", "not a track")
-    # The type error is captured as a delivery error, not raised.
-    assert len(core.delivery_errors) == 1
-
-
-def test_track_message_arrays():
-    msg = track()
-    assert np.allclose(msg.position_array, [1.0, 2.0, -15.0])
-    assert np.allclose(msg.velocity_array, [3.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------- Recorder
@@ -220,73 +97,3 @@ def test_recorder_feeds_metrics_registry():
         rec.maybe_record(fake_system(est=(float(i), 0.0, 0.0)), float(i), False)
     assert reg.value("flight_recorder_rows_total") == 3.0
     assert reg.value("flight_distance_m") == pytest.approx(2.0)
-
-
-# ------------------------------------------------- obs event stream
-
-
-def event(drone_id=1, t=0.0, kind="imu.switchover"):
-    return FlightEvent(drone_id=drone_id, time_s=t, kind=kind)
-
-
-def test_subscribers_fire_in_subscription_order():
-    broker = Broker("test")
-    order = []
-    broker.subscribe("event/1", lambda topic, msg: order.append("exact-first"))
-    broker.subscribe("event/*", lambda topic, msg: order.append("wild-first"))
-    broker.subscribe("event/1", lambda topic, msg: order.append("exact-second"))
-    broker.subscribe("event/*", lambda topic, msg: order.append("wild-second"))
-    broker.publish("event/1", event())
-    # Exact matches deliver before wildcards; within each class,
-    # subscription order is preserved.
-    assert order == ["exact-first", "exact-second", "wild-first", "wild-second"]
-
-
-def test_event_burst_no_drops_and_in_order():
-    """A crash-window burst (every step emits) must arrive complete."""
-    core = CoreBroker()
-    edge = EdgeBroker("edge-0", upstream=core)
-    tracker = Tracker(core)
-    n = 5000
-    for i in range(n):
-        delivered = edge.publish("event/7", event(drone_id=7, t=i * 0.01))
-        assert delivered == 1  # the tracker, via the core broker
-    got = tracker.events[7]
-    assert len(got) == n
-    assert [e.time_s for e in got] == [i * 0.01 for i in range(n)]
-    assert core.published_count == n
-    assert not core.delivery_errors and not edge.delivery_errors
-
-
-def test_event_burst_survives_one_bad_subscriber():
-    broker = CoreBroker()
-    tracker = Tracker(broker)
-
-    def bad(topic, msg):
-        raise RuntimeError("slow disk")
-
-    broker.subscribe("event/*", bad)
-    for i in range(100):
-        broker.publish("event/1", event(t=float(i)))
-    assert len(tracker.events[1]) == 100  # tracker unaffected
-    assert len(broker.delivery_errors) == 100
-
-
-def test_observer_events_reach_tracker_via_broker():
-    """The obs plane's broker mirror: emit -> event/<id> -> Tracker."""
-    from repro.obs.observer import Observer
-    from repro.obs.registry import MetricsRegistry
-
-    broker = CoreBroker()
-    tracker = Tracker(broker)
-    obs = Observer(registry=MetricsRegistry())
-    obs.attach_broker(broker, drone_id=42)
-    obs.trace.emit("failsafe.engaged", 12.5, trigger="attitude_excursion")
-    obs.trace.emit("imu.switchover", 13.0, from_member=0, to_member=1)
-    got = tracker.events[42]
-    assert [(e.kind, e.time_s) for e in got] == [
-        ("failsafe.engaged", 12.5), ("imu.switchover", 13.0),
-    ]
-    assert got[0].data == {"trigger": "attitude_excursion"}
-    # The same emissions also land in the observer's metrics.
-    assert obs.metrics.value("obs_events_total", event="imu.switchover") == 1.0
