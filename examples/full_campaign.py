@@ -13,7 +13,9 @@ command plus ``--resume`` continues exactly where it stopped (the
 merged result is bit-identical to an uninterrupted run). ``--retries``
 and ``--timeout`` guard against flaky or wedged cases: a case that
 exhausts its budget is recorded as a harness error and excluded from
-the tables instead of aborting the campaign.
+the tables instead of aborting the campaign. ``--timeout`` runs every
+case in a worker process (one with ``--workers 1``), the only place a
+wedged case can be stopped; the rows are the same either way.
 
 Run: ``python examples/full_campaign.py [--scale 0.15] [--missions 2,5,10]
       [--workers 1] [--durations 2,5,10,30] [--seed 0]

@@ -51,7 +51,6 @@ from repro.core.resilience import (
     EtaEstimator,
     RetryPolicy,
     campaign_fingerprint,
-    run_with_timeout,
 )
 from repro.core.results import CampaignResult, ExperimentResult, harness_error_result
 from repro.missions.valencia import valencia_missions
@@ -178,10 +177,10 @@ PrefixKey = tuple[CampaignConfig, int, float]
 #: key. Module-level because the per-case runner is a plain picklable
 #: ``(spec, config)`` callable that pool workers import by name, so
 #: there is no per-process object to own it. It is published only once
-#: fully flown and is never stepped (only deep-copied), so a case
-#: abandoned by its timeout mid-prefix cannot leave a half-flown vehicle
-#: here. One slot suffices because :func:`run_campaign` runs the cases
-#: grouped by prefix key; it empties the slot when it finishes.
+#: fully flown and is never stepped (only deep-copied), so a prefix that
+#: raised mid-flight cannot leave a half-flown vehicle here. One slot
+#: suffices because :func:`run_campaign` runs the cases grouped by
+#: prefix key; it empties the slot when it finishes.
 _snapshot: tuple[PrefixKey, UavSystem] | None = None
 
 
@@ -426,7 +425,10 @@ def run_campaign(
         retry_policy: retries / backoff / per-case timeout. The default
             (:data:`~repro.core.resilience.NO_RETRY`) makes one attempt
             with no timeout; either way a case that exhausts its
-            attempts becomes a harness-error record, never an abort.
+            attempts becomes a harness-error record, never an abort. A
+            timeout runs every case in a worker process (one worker when
+            ``config.workers == 1``), so a timed-out case is stopped
+            with its worker.
         checkpoint_path: JSONL journal file; every completed case is
             appended and fsync'd, and the file is atomically marked
             complete when the campaign finishes.
@@ -436,15 +438,15 @@ def run_campaign(
             path for transient infrastructure failures.
         runner: the per-case callable (default :func:`run_experiment`);
             injectable for harness tests. Must be picklable when
-            ``config.workers > 1``.
+            ``config.workers > 1`` or a timeout is set.
         obs: harness-level observer. The campaign runs inside a
             ``campaign`` span (timestamps are campaign-relative wall
-            seconds). Serial execution nests a ``fleet`` span per fleet
-            (a ``case`` span per case when it runs cases one at a
-            time); every case emits a ``case.done`` point event (cases
-            of a fleet or of concurrent workers interleave). Case
-            *black boxes* are controlled separately by
-            ``config.obs_dir``, which works across worker processes.
+            seconds). In-process execution (one worker, no timeout)
+            nests a ``fleet`` span per fleet (a ``case`` span per case
+            for a custom runner); every case emits a ``case.done``
+            point event (cases of a fleet or of concurrent workers
+            interleave). Case *black boxes* are controlled separately
+            by ``config.obs_dir``, which works across worker processes.
 
     Results are always returned in spec order regardless of worker
     count, retries, or resume — parallelism and harness faults cannot
@@ -523,7 +525,7 @@ def run_campaign(
         )
 
     try:
-        if config.workers == 1:
+        if config.workers == 1 and policy.timeout_s is None:
             _execute_serial(pending, config, runner, policy, recorder)
         else:
             _execute_parallel(pending, config, runner, policy, recorder)
@@ -569,14 +571,13 @@ def _execute_serial(
 ) -> None:
     """In-process execution, one batch of ready cases at a time.
 
-    The default runner with no per-case timeout flies batches of up to
-    :data:`FLEET_SIZE` cases as fleets (:func:`_fly_cases`), each in a
-    ``fleet`` span. Otherwise each case runs alone through ``runner``,
-    its timeout enforced via a watchdog thread, in a ``case`` span: the
-    watchdog can abandon one case's thread, but a timed-out fleet would
-    abandon every case in it.
+    The default runner flies batches of up to :data:`FLEET_SIZE` cases
+    as fleets (:func:`_fly_cases`), each in a ``fleet`` span; any other
+    runner runs one case at a time, in a ``case`` span. No case here
+    has a timeout: :func:`run_campaign` sends a timed campaign to the
+    pool, the one place a case can be stopped.
     """
-    fleets = runner is run_experiment and policy.timeout_s is None
+    fleets = runner is run_experiment
     size = FLEET_SIZE if fleets else 1
     obs = recorder.obs
     while pending:
@@ -603,7 +604,7 @@ def _execute_serial(
                 _fly_cases(batch, pending, config, policy, recorder)
             else:
                 try:
-                    result = run_with_timeout(runner, (first.spec, config), policy.timeout_s)
+                    result = runner(first.spec, config)
                 except Exception as exc:  # KeyboardInterrupt/SystemExit propagate
                     _retry_or_fail(first, exc, policy, pending, recorder, front=True)
                 else:
@@ -663,12 +664,13 @@ def _execute_parallel(
 ) -> None:
     """Process-pool execution with timeout and broken-pool recovery.
 
-    Progress advances in completion order (``wait(FIRST_COMPLETED)``),
-    not submission order, so one slow early case cannot stall the
-    ticker. A case that exceeds ``policy.timeout_s`` forces a pool
-    teardown (the only way to reclaim a wedged worker); the timed-out
-    case is charged an attempt while innocent in-flight cases are
-    resubmitted for free. A :class:`BrokenProcessPool` (worker died)
+    Every campaign with ``workers > 1`` or a per-case timeout runs here,
+    a timed serial one in a pool of one worker. Progress advances in
+    completion order (``wait(FIRST_COMPLETED)``), not submission order,
+    so one slow early case cannot stall the ticker. A case that exceeds
+    ``policy.timeout_s`` forces a pool teardown (the only way to reclaim
+    a wedged worker); the timed-out case is charged an attempt while
+    innocent in-flight cases are resubmitted for free. A :class:`BrokenProcessPool` (worker died)
     cannot be attributed to a single future, so every in-flight case is
     requeued uncharged as a *suspect* and re-run one at a time: the
     case that breaks the pool while running alone is the offender, and

@@ -28,6 +28,7 @@ from repro.core.faults import FaultSpec, FaultTarget, FaultType
 from repro.flightstack.commander import MissionOutcome
 from repro.missions.plan import route_polyline
 from repro.missions.valencia import valencia_missions
+from repro.obs.canvas import AsciiCanvas
 from repro.system import SystemConfig, UavSystem
 
 
@@ -127,32 +128,26 @@ def render_ascii_trajectory(result: FigureResult, width: int = 72, height: int =
     flown = result.flown_true_ned
     if flown.shape[0] == 0:
         return "(no trajectory recorded)"
-    all_pts = np.vstack([route[:, :2], flown[:, :2]])
-    lo = all_pts.min(axis=0)
-    hi = all_pts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-6)
-
-    grid = [[" "] * width for _ in range(height)]
-
-    def plot(north: float, east: float, char: str) -> None:
-        col = int((east - lo[1]) / span[1] * (width - 1))
-        row = int((1.0 - (north - lo[0]) / span[0]) * (height - 1))
-        grid[row][col] = char
-
+    canvas = AsciiCanvas(
+        np.concatenate([route[:, 1], flown[:, 1]]),
+        np.concatenate([route[:, 0], flown[:, 0]]),
+        width,
+        height,
+    )
     for i in range(len(route) - 1):
         for t in np.linspace(0.0, 1.0, 40):
             p = route[i] * (1 - t) + route[i + 1] * t
-            plot(p[0], p[1], ".")
+            canvas.plot(p[1], p[0], ".")
     in_window = (result.times_s >= result.injection_start_s) & (
         result.times_s <= result.injection_end_s
     )
     for point, faulted in zip(flown, in_window):
-        plot(point[0], point[1], "#" if faulted else "*")
-    plot(flown[-1][0], flown[-1][1], "X")
+        canvas.plot(point[1], point[0], "#" if faulted else "*")
+    canvas.plot(flown[-1][1], flown[-1][0], "X")
 
     legend = (
         f"{result.scenario.description}\n"
         f"outcome: {result.outcome.value}, duration {result.flight_duration_s:.1f} s  "
         f"(route '.', flown '*', injected '#', end 'X')"
     )
-    return "\n".join("".join(row) for row in grid) + "\n" + legend
+    return canvas.render() + "\n" + legend

@@ -10,10 +10,9 @@ the reusable pieces:
   *deterministic* jitter (seeded by the case id, so two runs of the
   same campaign sleep identically), plus an optional per-case
   wall-clock timeout.
-* :class:`CaseTimeoutError` — raised (and recorded) when a case blows
-  its wall-clock budget.
-* :func:`run_with_timeout` — execute a callable under a wall-clock
-  limit without leaving the caller blocked on a hung case.
+* :class:`CaseTimeoutError` — recorded when a case blows its
+  wall-clock budget (the campaign's process pool stops it by killing
+  its worker).
 * :func:`campaign_fingerprint` — a stable hash of everything that
   determines campaign *results* (and nothing that does not, e.g.
   ``workers``), used to guard checkpoint resume against config drift.
@@ -26,10 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, TYPE_CHECKING
+from typing import Callable, Iterable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (campaign imports us)
     from repro.core.campaign import CampaignConfig
@@ -61,6 +59,8 @@ class RetryPolicy:
             :data:`BACKOFF_FACTOR`, up to :data:`BACKOFF_MAX_S`, plus
             up to :data:`JITTER_FRAC` of jitter.
         timeout_s: per-case wall-clock limit; ``None`` disables it.
+            Set, it runs every case in a worker process, which is
+            killed when its case runs out of time.
     """
 
     max_attempts: int = 3
@@ -92,39 +92,6 @@ class RetryPolicy:
 #: Legacy behaviour: one attempt, no timeout — a raising case still
 #: degrades to a harness-error record rather than aborting the matrix.
 NO_RETRY = RetryPolicy(max_attempts=1)
-
-
-def run_with_timeout(
-    fn: Callable[..., Any], args: tuple, timeout_s: float | None
-) -> Any:
-    """Call ``fn(*args)``, enforcing a wall-clock limit.
-
-    The call runs on a daemon thread so a hung case cannot wedge the
-    campaign (the thread is abandoned; the interpreter can still exit).
-    Without a timeout the call happens inline.
-
-    Raises:
-        CaseTimeoutError: the call did not finish within ``timeout_s``.
-    """
-    if timeout_s is None:
-        return fn(*args)
-
-    box: dict[str, Any] = {}
-
-    def target() -> None:
-        try:
-            box["result"] = fn(*args)
-        except BaseException as exc:  # noqa: BLE001 - re-raised in caller
-            box["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout_s)
-    if thread.is_alive():
-        raise CaseTimeoutError(f"case exceeded wall-clock budget of {timeout_s} s")
-    if "error" in box:
-        raise box["error"]
-    return box["result"]
 
 
 def campaign_fingerprint(

@@ -30,6 +30,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.obs.canvas import AsciiCanvas
 from repro.obs.export import read_events_jsonl
 from repro.obs.trace import TraceEvent, build_span_tree, iter_spans, render_span_tree
 from repro.telemetry.recorder import load_recording, recording_column
@@ -126,19 +127,11 @@ def _render_topdown(
 ) -> str:
     """Figure 3-5 style top-down plot: flown ``*``, injected ``#``,
     end ``X`` (same glyphs as :mod:`repro.core.figures`)."""
-    lo_n, hi_n = float(north.min()), float(north.max())
-    lo_e, hi_e = float(east.min()), float(east.max())
-    span_n = max(hi_n - lo_n, 1e-6)
-    span_e = max(hi_e - lo_e, 1e-6)
-    grid = [[" "] * width for _ in range(height)]
+    canvas = AsciiCanvas(east, north, width, height)
     for n, e, faulted in zip(north, east, fault_active):
-        col = int((e - lo_e) / span_e * (width - 1))
-        row = int((1.0 - (n - lo_n) / span_n) * (height - 1))
-        grid[row][col] = "#" if faulted else "*"
-    col = int((east[-1] - lo_e) / span_e * (width - 1))
-    row = int((1.0 - (north[-1] - lo_n) / span_n) * (height - 1))
-    grid[row][col] = "X"
-    return "\n".join("".join(r) for r in grid)
+        canvas.plot(e, n, "#" if faulted else "*")
+    canvas.plot(east[-1], north[-1], "X")
+    return canvas.render()
 
 
 def _render_altitude(
@@ -149,20 +142,14 @@ def _render_altitude(
     height: int,
 ) -> str:
     """Altitude-vs-time strip chart with the injection window marked."""
-    lo_t, hi_t = float(times.min()), float(times.max())
-    lo_a, hi_a = float(altitude.min()), float(altitude.max())
-    span_t = max(hi_t - lo_t, 1e-6)
-    span_a = max(hi_a - lo_a, 1e-6)
-    grid = [[" "] * width for _ in range(height)]
+    canvas = AsciiCanvas(times, altitude, width, height)
     for t, a, faulted in zip(times, altitude, fault_active):
-        col = int((t - lo_t) / span_t * (width - 1))
-        row = int((1.0 - (a - lo_a) / span_a) * (height - 1))
-        grid[row][col] = "#" if faulted else "*"
-    lines = ["".join(r) for r in grid]
-    lines.append(
-        f"t: {lo_t:.1f}s .. {hi_t:.1f}s   alt: {lo_a:.1f}m .. {hi_a:.1f}m"
+        canvas.plot(t, a, "#" if faulted else "*")
+    return (
+        f"{canvas.render()}\n"
+        f"t: {canvas.lo_x:.1f}s .. {canvas.hi_x:.1f}s   "
+        f"alt: {canvas.lo_y:.1f}m .. {canvas.hi_y:.1f}m"
     )
-    return "\n".join(lines)
 
 
 def cmd_render(args: argparse.Namespace) -> int:

@@ -9,6 +9,7 @@ for observed cases a byte-identical black box.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import threading
 from pathlib import Path
 
@@ -18,12 +19,11 @@ import repro.core.campaign as campaign
 from repro.core.campaign import CampaignConfig, _to_result, run_experiment
 from repro.core.experiments import ExperimentSpec, build_experiment_matrix
 from repro.core.faults import FaultScope, FaultSpec, FaultTarget, FaultType
-from repro.core.resilience import CaseTimeoutError, run_with_timeout
+from repro.core.resilience import RetryPolicy
 from repro.core.results import ExperimentResult, harness_error_result
 from repro.missions.valencia import valencia_missions
 from repro.obs import MetricsRegistry, Observer
 from repro.redundancy import RedundancyConfig
-from repro.sim import PHYSICS_DT_S
 from repro.system import SystemConfig, UavSystem
 
 #: A tiny geometry with the fault in the climb-out, so most cases end
@@ -120,41 +120,6 @@ def test_mission_over_before_the_injection_forks_equal_to_fresh():
     assert snapshot.physics.time_s < 1000.0
 
 
-def test_timeout_while_flying_the_prefix_leaves_no_half_flown_snapshot(monkeypatch):
-    first, second = matrix(TINY)[1:3]
-    injection_s = TINY.effective_injection_time_s
-    mid_prefix, release = threading.Event(), threading.Event()
-    stages = list(UavSystem.STAGES)
-    first_stage = stages[0]
-
-    def held_halfway(system: UavSystem) -> None:
-        # The first prefix stops halfway until released, so the case's
-        # timeout fires mid-prefix on every run.
-        if not mid_prefix.is_set() and system.physics.time_s >= injection_s / 2:
-            mid_prefix.set()
-            release.wait()
-        first_stage(system)
-
-    stages[0] = held_halfway
-    monkeypatch.setattr(UavSystem, "STAGES", tuple(stages))
-    before = set(threading.enumerate())
-    with pytest.raises(CaseTimeoutError):
-        run_with_timeout(run_experiment, (first, TINY), 0.01)
-    (abandoned,) = set(threading.enumerate()) - before
-    assert mid_prefix.wait(timeout=120)
-    # The abandoned case's half-flown vehicle is not in the slot.
-    assert campaign._snapshot is None
-    assert run_experiment(second, TINY) == fresh_result(second, TINY)
-    release.set()
-    abandoned.join(timeout=120)
-    assert not abandoned.is_alive()
-    # Whatever the slot holds now is a complete snapshot.
-    _, snapshot = campaign._snapshot
-    next_step_end_s = snapshot.physics.time_s + PHYSICS_DT_S
-    assert next_step_end_s >= injection_s
-    assert run_experiment(first, TINY) == fresh_result(first, TINY)
-
-
 def test_campaign_runs_cases_grouped_by_prefix_key():
     config = dataclasses.replace(TINY, mission_ids=(1, 2))
     specs = matrix(config)
@@ -177,3 +142,29 @@ def test_campaign_runs_cases_grouped_by_prefix_key():
 def test_campaign_leaves_no_snapshot_behind():
     campaign.run_campaign(TINY, specs=matrix(TINY)[:1])
     assert campaign._snapshot is None
+
+
+def test_timed_out_serial_cases_leave_nothing_behind(tmp_path):
+    config = CampaignConfig(
+        scale=0.05,
+        injection_time_s=8.0,
+        durations_s=(2.0,),
+        mission_ids=(2,),
+        obs_dir=str(tmp_path),
+    )
+    specs = [
+        s for s in matrix(config) if s.label in ("Acc Min", "Gyro Max", "IMU Min")
+    ]
+    policy = RetryPolicy(max_attempts=1, timeout_s=0.05)
+    rows = campaign.run_campaign(config, specs=specs, retry_policy=policy).results
+    assert [r.is_harness_error for r in rows] == [True] * 3
+    # Whatever the timed-out cases left running has had time to finish.
+    for thread in threading.enumerate():
+        if thread is not threading.main_thread():
+            thread.join(timeout=120)
+    # A timed-out case is a harness-error row and nothing else: no black
+    # box, no snapshot, no vehicle.
+    assert list(tmp_path.iterdir()) == []
+    assert campaign._snapshot is None
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, UavSystem)]

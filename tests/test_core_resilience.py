@@ -18,10 +18,8 @@ from repro.core.resilience import (
     BACKOFF_MAX_S,
     JITTER_FRAC,
     NO_RETRY,
-    CaseTimeoutError,
     RetryPolicy,
     campaign_fingerprint,
-    run_with_timeout,
 )
 from repro.core.results import CampaignResult, ExperimentResult, harness_error_result
 from repro.core.tables import harness_error_note, table2_by_duration, table3_by_fault
@@ -124,15 +122,6 @@ def test_retry_policy_delay_deterministic_and_bounded():
     assert policy.delay_s(3, key=7) >= BACKOFF_MAX_S
     # Zero base disables sleeping entirely.
     assert NO_RETRY.delay_s(1, key=0) == 0.0
-
-
-def test_run_with_timeout():
-    assert run_with_timeout(lambda x: x + 1, (1,), None) == 2
-    assert run_with_timeout(lambda x: x + 1, (1,), 5.0) == 2
-    with pytest.raises(RuntimeError, match="inner"):
-        run_with_timeout(lambda: (_ for _ in ()).throw(RuntimeError("inner")), (), 5.0)
-    with pytest.raises(CaseTimeoutError):
-        run_with_timeout(time.sleep, (10.0,), 0.1)
 
 
 # ---------------------------------------------------------- fingerprint

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Callable
 
@@ -367,18 +368,20 @@ def test_journal_resumes_after_an_interrupted_fleet(monkeypatch, tmp_path, slice
 
 
 def test_per_case_timeout_flies_one_case_at_a_time(monkeypatch, slice_reference):
-    calls: list[int] = []
-    run_with_timeout = campaign.run_with_timeout
+    pools: list[int] = []
 
-    def counting(fn, args, timeout_s):
-        calls.append(args[0].experiment_id)
-        return run_with_timeout(fn, args, timeout_s)
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers: int) -> None:
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(campaign, "run_with_timeout", counting)
+    # A timeout sends the serial campaign to a pool of one worker, the
+    # one place a timed-out case can be stopped.
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", CountingPool)
     specs = matrix(SLICE)[:3]
     policy = RetryPolicy(max_attempts=1, timeout_s=120.0)
     rows = run_campaign(SLICE, specs, retry_policy=policy).results
-    assert calls == [s.experiment_id for s in specs]
+    assert pools == [1]
     assert rows == slice_reference[:3]
 
 
